@@ -8,6 +8,9 @@ in a few minutes on a laptop while preserving the qualitative shapes).
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,3 +39,20 @@ def print_header(title: str) -> None:
     print("\n" + "=" * 72)
     print(title)
     print("=" * 72)
+
+
+def merge_results(path: Path, update: dict) -> None:
+    """Merge one benchmark's keys into a shared ``BENCH_*.json`` record.
+
+    Several benchmarks write sections of the same file, so a clobbering
+    ``write_text`` would erase the others' keys depending on execution
+    order.
+    """
+    existing: dict = {}
+    if path.is_file():
+        try:
+            existing = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            existing = {}
+    existing.update(update)
+    path.write_text(json.dumps(existing, indent=2) + "\n")

@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 import repro
-from benchmarks.conftest import print_header
+from benchmarks.conftest import merge_results, print_header
 from repro.hmm import CategoricalEmission, HMM
 from repro.serving import ClusterServer, ModelRegistry, save_artifact
 
@@ -42,18 +42,6 @@ _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 
 #: fraction of the private-copy Private_Dirty growth a mmap load may incur.
 MAX_MMAP_RSS_FRACTION = float(os.environ.get("BENCH_MAX_MMAP_RSS_FRACTION", "0.25"))
-
-
-def _merge_results(update: dict) -> None:
-    """Merge one benchmark's keys into the shared BENCH_serving.json."""
-    existing: dict = {}
-    if _RESULT_PATH.is_file():
-        try:
-            existing = json.loads(_RESULT_PATH.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    existing.update(update)
-    _RESULT_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
 
 def _available_cores() -> int:
@@ -161,7 +149,7 @@ def test_multi_worker_throughput(tmp_path):
             "effective_floor": floor,
         }
     }
-    _merge_results(results)
+    merge_results(_RESULT_PATH, results)
 
     print_header("Serving cluster - 4 workers vs 1 (concurrent HTTP clients)")
     print(f"1 worker : {seconds[1] * 1e3:8.1f} ms "
@@ -251,7 +239,7 @@ def test_mmap_artifact_sharing_rss(tmp_path):
             "max_fraction_allowed": MAX_MMAP_RSS_FRACTION,
         }
     }
-    _merge_results(results)
+    merge_results(_RESULT_PATH, results)
 
     print_header("Serving cluster - per-worker dirty memory: mmap vs private copy")
     print(f"payload      : {payload_kb:9.0f} kB on disk")

@@ -20,7 +20,6 @@ Results are merged into ``BENCH_inference.json``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import tracemalloc
@@ -29,8 +28,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks.conftest import print_header
-from repro.hmm import ScaledBatchedBackend, streaming_log_likelihood
+from benchmarks.conftest import merge_results, print_header
+from repro.hmm import CompiledCorpus, ScaledBatchedBackend, streaming_log_likelihood
 
 #: Sequence length for the long-decode gate.  The default reproduces the
 #: paper-scale T=1M workload; override to shrink smoke runs.
@@ -56,18 +55,6 @@ _GROUP = 64
 _K = 8
 
 
-def _merge_results(update: dict) -> None:
-    """Merge this benchmark's keys into the shared BENCH_inference.json."""
-    existing: dict = {}
-    if _RESULT_PATH.is_file():
-        try:
-            existing = json.loads(_RESULT_PATH.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    existing.update(update)
-    _RESULT_PATH.write_text(json.dumps(existing, indent=2) + "\n")
-
-
 def _build_workload():
     """A sticky K=8 model plus a (T, K) emission log-likelihood table.
 
@@ -84,6 +71,13 @@ def _build_workload():
     return pi, transmat, table
 
 
+def _serial_viterbi(backend, pi, transmat, table):
+    """The whole table as one bucket row: a directly built corpus has no
+    long threshold, so nothing routes it through the chunked decoder."""
+    corpus = CompiledCorpus([table])
+    return backend.viterbi_corpus(pi, transmat, corpus, corpus.extend_scores(table))[0]
+
+
 def test_long_sequence_decode(benchmark):
     pi, transmat, table = _build_workload()
     backend = ScaledBatchedBackend(bucket_size=_GROUP)
@@ -91,10 +85,10 @@ def test_long_sequence_decode(benchmark):
     # Warm numpy/the kernel on a small prefix so first-call overheads do
     # not pollute the single-shot serial timing below.
     backend.viterbi_long(pi, transmat, table[:20_000], window=_WINDOW, overlap=_OVERLAP)
-    backend.viterbi(pi, transmat, [table[:20_000]])
+    _serial_viterbi(backend, pi, transmat, table[:20_000])
 
     start = time.perf_counter()
-    serial_path, serial_lj = backend.viterbi(pi, transmat, [table])[0]
+    serial_path, serial_lj = _serial_viterbi(backend, pi, transmat, table)
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -166,7 +160,7 @@ def test_long_sequence_decode(benchmark):
             "streaming_ll": stream_ll,
         }
     }
-    _merge_results(results)
+    merge_results(_RESULT_PATH, results)
 
     print_header("Long-sequence decode - chunked windows vs serial single bucket")
     print(f"T={LONGSEQ_T:,}  K={_K}  window={_WINDOW} overlap={_OVERLAP} "

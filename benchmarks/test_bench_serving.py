@@ -18,14 +18,13 @@ PR 2 serving had to do), the batched run advances all 32 through one
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import print_header
+from benchmarks.conftest import merge_results, print_header
 from repro.core.config import ServingConfig
 from repro.hmm import CategoricalEmission, HMM
 from repro.serving import StreamingDecoder, StreamingService, TaggingService
@@ -57,18 +56,6 @@ MIN_STREAM_SERVICE_SPEEDUP = float(
 )
 
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
-
-
-def _merge_results(update: dict) -> None:
-    """Merge one benchmark's keys into the shared BENCH_serving.json."""
-    existing: dict = {}
-    if _RESULT_PATH.is_file():
-        try:
-            existing = json.loads(_RESULT_PATH.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    existing.update(update)
-    _RESULT_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
 
 def _build_model(corpus) -> HMM:
@@ -162,7 +149,7 @@ def test_micro_batched_service_speedup(benchmark, pos_corpus):
         "mean_batch_size": stats["mean_batch_size"],
         "max_batch_size_observed": stats["max_batch_size"],
     }
-    _merge_results(results)
+    merge_results(_RESULT_PATH, results)
 
     print_header("Serving - micro-batched TaggingService vs sequential decode")
     print(f"sequential : {sequential_seconds * 1e3:8.1f} ms "
@@ -231,7 +218,7 @@ def test_batched_streaming_speedup(benchmark, pos_corpus):
         "per_stream_tokens_per_second": n_tokens / per_stream_seconds,
         "stream_batch_tokens_per_second": n_tokens / batched_seconds,
     }
-    _merge_results(results)
+    merge_results(_RESULT_PATH, results)
 
     print_header("Serving - batched streaming vs per-stream stepping (B=32)")
     print(f"per-stream : {per_stream_seconds * 1e3:8.1f} ms "
@@ -351,7 +338,7 @@ def test_streaming_service_concurrent_clients(benchmark, pos_corpus):
         "stream_service_mean_tick": stats["mean_batch_size"],
         "stream_service_max_tick": stats["max_batch_size"],
     }
-    _merge_results(results)
+    merge_results(_RESULT_PATH, results)
 
     print_header("Serving - StreamingService (B=32 clients) vs per-client decoders")
     print(f"decoders   : {decoder_seconds * 1e3:8.1f} ms "

@@ -3,30 +3,29 @@
 The training loop is the workload the paper's experiments hammer: repeated
 Baum-Welch fits of HMM/dHMM across the PoS and OCR datasets and whole
 ablation grids.  This benchmark times complete EM iterations (E-step *and*
-M-step) through the compiled-corpus fast path — dataset encoded once by
-:class:`~repro.hmm.corpus.CompiledCorpus`, one vectorized emission-scoring
-call + bucket gather/scatter per iteration, bincount/matmul M-steps —
-against the per-sequence log-domain baseline (log backend recursions,
-per-sequence statistic accumulation, ``np.add.at`` emission updates), and
-gates the speedup.
+M-step) of ``BaumWelchTrainer.fit`` over a compiled corpus — dataset encoded
+once by :class:`~repro.hmm.corpus.CompiledCorpus`, one vectorized
+emission-scoring call + bucket gather/scatter per iteration, bincount/matmul
+M-steps — on the scaled backend against the same ``fit`` loop on the
+log-domain reference backend (per-sequence log-space recursions), and gates
+the speedup.
 
 Results merge into ``BENCH_training.json`` at the repository root.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import print_header
+from benchmarks.conftest import merge_results, print_header
 from repro.hmm import BaumWelchTrainer, CategoricalEmission, HMM, InferenceEngine
 
-#: Acceptance floor for full-EM-iteration throughput of the compiled-corpus
-#: path over the per-sequence log-domain baseline (~15x on an idle machine).
+#: Acceptance floor for full-EM-iteration throughput of the scaled backend
+#: over the per-sequence log-domain reference backend.
 #: Overridable so noisy shared CI runners can relax the gate.
 MIN_TRAINING_SPEEDUP = float(os.environ.get("BENCH_MIN_TRAINING_SPEEDUP", "5.0"))
 
@@ -47,33 +46,20 @@ def _fresh_model(corpus) -> HMM:
     )
 
 
-def _run_reference(model: HMM, sequences, n_iter: int) -> list[float]:
-    """Per-sequence log-domain EM: the pre-compiled-corpus iteration shape."""
-    trainer = BaumWelchTrainer(engine=InferenceEngine(backend="log"))
-    history = []
-    for _ in range(n_iter):
-        stats = trainer.e_step(model, sequences)
-        history.append(stats.log_likelihood)
-        trainer.m_step(model, sequences, stats)
-    return history
-
-
-def _run_compiled(model: HMM, corpus, n_iter: int) -> list[float]:
-    """Compiled-corpus EM through the scaled engine (the fit() fast path)."""
+def _run_em(backend: str, model: HMM, corpus, n_iter: int) -> list[float]:
+    """``n_iter`` full EM iterations through ``fit`` on the given backend."""
     trainer = BaumWelchTrainer(
-        engine=InferenceEngine(backend="scaled"), max_iter=n_iter, tol=0.0
+        engine=InferenceEngine(backend=backend), max_iter=n_iter, tol=0.0
     )
     return trainer.fit(model, corpus).history
 
 
 def test_em_iteration_throughput(benchmark, pos_corpus):
-    sequences = pos_corpus.words
-    scaled_engine = InferenceEngine(backend="scaled")
-    corpus = scaled_engine.compile(sequences)
+    corpus = InferenceEngine(backend="scaled").compile(pos_corpus.words)
 
     # Correctness gate: both paths must walk the same EM trajectory.
-    reference_history = _run_reference(_fresh_model(pos_corpus), sequences, _N_ITER)
-    compiled_history = _run_compiled(_fresh_model(pos_corpus), corpus, _N_ITER)
+    reference_history = _run_em("log", _fresh_model(pos_corpus), corpus, _N_ITER)
+    compiled_history = _run_em("scaled", _fresh_model(pos_corpus), corpus, _N_ITER)
     np.testing.assert_allclose(
         compiled_history, reference_history, rtol=1e-9, atol=1e-6
     )
@@ -88,10 +74,10 @@ def test_em_iteration_throughput(benchmark, pos_corpus):
         return best
 
     compiled_seconds = time_once(
-        lambda: _run_compiled(_fresh_model(pos_corpus), corpus, _N_ITER)
+        lambda: _run_em("scaled", _fresh_model(pos_corpus), corpus, _N_ITER)
     )
     reference_seconds = time_once(
-        lambda: _run_reference(_fresh_model(pos_corpus), sequences, _N_ITER)
+        lambda: _run_em("log", _fresh_model(pos_corpus), corpus, _N_ITER)
     )
     # Opt-in bucket-level thread pool (report-only; two workers).
     threaded_engine = InferenceEngine(backend="scaled", n_workers=2)
@@ -122,19 +108,19 @@ def test_em_iteration_throughput(benchmark, pos_corpus):
         "em_tokens_per_second": tokens_per_second,
         "em_speedup": speedup,
     }
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    merge_results(_RESULT_PATH, results)
 
-    print_header("Training - compiled-corpus EM vs per-sequence log-domain EM")
+    print_header("Training - compiled-corpus EM, scaled vs log-domain backend")
     print(f"{_N_ITER} EM iterations: compiled {compiled_seconds * 1e3:8.1f} ms | "
           f"log {reference_seconds * 1e3:8.1f} ms | {speedup:5.1f}x")
     print(f"per-iteration {iteration_ms:.1f} ms "
           f"({tokens_per_second / 1e3:.0f}K tokens/s); "
           f"2-worker pool {threaded_seconds * 1e3:.1f} ms")
-    print(f"results written to {_RESULT_PATH.name}")
+    print(f"results merged into {_RESULT_PATH.name}")
 
     benchmark.extra_info.update(em_speedup=speedup)
     benchmark.pedantic(
-        lambda: _run_compiled(_fresh_model(pos_corpus), corpus, 1),
+        lambda: _run_em("scaled", _fresh_model(pos_corpus), corpus, 1),
         rounds=1,
         iterations=1,
     )

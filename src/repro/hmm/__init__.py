@@ -50,7 +50,7 @@ from repro.hmm.forward_backward import (
 )
 from repro.hmm.viterbi import viterbi_decode, viterbi_decode_from_log
 from repro.hmm.model import HMM
-from repro.hmm.baum_welch import BaumWelchTrainer, EStepStatistics, FitResult
+from repro.hmm.baum_welch import BaumWelchTrainer, FitResult
 from repro.hmm.transition_updaters import (
     MaximumLikelihoodTransitionUpdater,
     TransitionUpdater,
@@ -95,7 +95,6 @@ __all__ = [
     "viterbi_decode_from_log",
     "HMM",
     "BaumWelchTrainer",
-    "EStepStatistics",
     "FitResult",
     "TransitionUpdater",
     "MaximumLikelihoodTransitionUpdater",

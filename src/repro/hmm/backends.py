@@ -1,27 +1,27 @@
 """Inference backends: batched scaled-domain and per-sequence log-domain.
 
 The engine (:mod:`repro.hmm.engine`) delegates all forward-backward, Viterbi
-and likelihood computations to an :class:`InferenceBackend`.  Two backends
-are provided:
+and likelihood computations to an :class:`InferenceBackend`.  Every backend
+method runs over a :class:`~repro.hmm.corpus.CompiledCorpus` and its
+extended emission score table (``forward_backward_corpus`` /
+``viterbi_corpus`` / ``log_likelihood_corpus``), plus ``viterbi_long`` for
+one long sequence.  Two backends are provided:
 
 * :class:`ScaledBatchedBackend` — the default.  Runs the forward-backward
   recursions in the probability domain with Rabiner's per-timestep scaling,
-  so no ``logsumexp`` appears in any inner loop, and batches sequences into
-  padded length-buckets so every timestep is a single ``(B, K) @ (K, K)``
-  matmul over the whole bucket.  The pairwise posteriors ``xi_sum`` are
-  accumulated with one matmul per sequence instead of a Python loop over
-  ``T``.  Viterbi decoding runs batched in the *log* domain (its recursion
-  is max-only, so no scaling is needed) through a fused kernel that is
-  bit-identical to the reference — see :meth:`_viterbi_bucket`.  Both
-  paths also expose compiled-corpus entry points
-  (``forward_backward_corpus`` / ``viterbi_corpus`` /
-  ``log_likelihood_corpus``) that consume a
-  :class:`~repro.hmm.corpus.CompiledCorpus`'s precomputed bucket/index
-  structure instead of re-packing per call and return corpus-level stacked
-  statistics.
+  so no ``logsumexp`` appears in any inner loop, over the corpus' padded
+  length-buckets, so every timestep is a single ``(B, K) @ (K, K)`` matmul
+  over the whole bucket.  The pairwise posteriors ``xi_sum`` of a bucket
+  come from one batched ``(B, K, L) @ (B, L, K)`` matmul instead of a
+  Python loop over ``T``.  Viterbi decoding runs batched in the *log*
+  domain (its recursion is max-only, so no scaling is needed) through a
+  fused kernel that is bit-identical to the reference — see
+  :meth:`_viterbi_bucket`.  Long sequences (the corpus' ``long_windows``)
+  take the chunked and checkpointed kernels of :mod:`repro.hmm.longseq`.
 * :class:`LogDomainBackend` — the original per-sequence log-space
-  recursions, kept as a bit-identical reference so equivalence of the
-  scaled engine is testable (see ``tests/test_hmm_engine.py``).
+  recursions, looped over the corpus one sequence at a time and kept as a
+  bit-identical reference so equivalence of the scaled engine is testable
+  (see ``tests/test_hmm_engine.py``).
 
 Scaling scheme
 --------------
@@ -49,17 +49,8 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError, ValidationError
-from repro.hmm.corpus import (
-    CompiledCorpus,
-    CorpusBucket,
-    CorpusPosteriors,
-    bucket_indices,
-)
-from repro.hmm.forward_backward import (
-    SequencePosteriors,
-    compute_posteriors_from_log,
-    log_forward,
-)
+from repro.hmm.corpus import CompiledCorpus, CorpusBucket, CorpusPosteriors
+from repro.hmm.forward_backward import compute_posteriors_from_log, log_forward
 from repro.hmm.longseq import (
     ArraySource,
     LongDecodeResult,
@@ -70,7 +61,7 @@ from repro.hmm.longseq import (
 from repro.hmm.viterbi import viterbi_decode_from_log
 from repro.utils.maths import logsumexp, safe_log
 
-__all__ = [  # noqa: F822 - bucket_indices is re-exported for backward compat
+__all__ = [
     "InferenceBackend",
     "ScaledBatchedBackend",
     "LogDomainBackend",
@@ -79,7 +70,6 @@ __all__ = [  # noqa: F822 - bucket_indices is re-exported for backward compat
     "StreamStep",
     "available_backends",
     "build_backend",
-    "bucket_indices",
     "viterbi_backpointer_dtype",
 ]
 
@@ -109,83 +99,46 @@ def viterbi_backpointer_dtype(n_states: int) -> np.dtype:
 
 
 class InferenceBackend(abc.ABC):
-    """Strategy object performing batched HMM inference primitives.
+    """Strategy object performing HMM inference over a compiled corpus.
 
-    All methods take probability-domain parameters plus *precomputed*
-    log-likelihood tables (one ``(T_n, K)`` array per sequence) and return
-    per-sequence results in the original input order.  The caller (the
-    engine) is responsible for computing the emission tables once and for
-    caching derived parameters such as ``log(A)``.
+    Every corpus method takes probability-domain parameters, a
+    :class:`~repro.hmm.corpus.CompiledCorpus` and its ``(n_tokens + 1, K)``
+    emission score table (:meth:`CompiledCorpus.score` /
+    :meth:`CompiledCorpus.extend_scores`), and returns per-sequence results
+    in corpus order.  The caller (the engine) scores the corpus once and
+    caches derived parameters, handing ``log(pi)`` / ``log(A)`` over through
+    the ``log_startprob`` / ``log_transmat`` keywords.
     """
 
     name: str = "abstract"
 
-    #: Whether the backend consumes the engine's cached ``log(pi)``/``log(A)``
-    #: (passed via the ``log_startprob``/``log_transmat`` keywords).  Backends
-    #: that work in the probability domain leave this False so the engine
-    #: never derives logs it would not use.
-    wants_log_params: bool = False
-
-    @abc.abstractmethod
-    def forward_backward(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_obs_seqs: Sequence[np.ndarray],
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
-    ) -> list[SequencePosteriors]:
-        """Posterior statistics (gamma, xi_sum, log-likelihood) per sequence."""
-
-    @abc.abstractmethod
-    def viterbi(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_obs_seqs: Sequence[np.ndarray],
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
-    ) -> list[tuple[np.ndarray, float]]:
-        """Most likely state path and joint log-probability per sequence."""
-
-    @abc.abstractmethod
-    def log_likelihood(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_obs_seqs: Sequence[np.ndarray],
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Log marginal likelihood of every sequence (1-D array)."""
-
-    # -------------------------------------------------------------- #
-    # Compiled-corpus entry points
-    # -------------------------------------------------------------- #
-    # The generic implementations split the corpus-level score table into
-    # per-sequence views and delegate to the per-sequence methods, then
-    # re-assemble corpus-level statistics.  They define the reference
-    # semantics; backends with native bucket kernels (the scaled backend)
-    # override them with zero-per-sequence-Python versions.
-
     @staticmethod
-    def _check_corpus_table(
-        startprob: np.ndarray, corpus: CompiledCorpus, scores_ext: np.ndarray
-    ) -> None:
-        """Reject score tables missing the sentinel pad row.
+    def _check_corpus(
+        startprob: np.ndarray,
+        transmat: np.ndarray,
+        corpus: CompiledCorpus,
+        scores_ext: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float64 parameters and score table, checked against each other.
 
         An un-extended ``(n_tokens, K)`` table would silently shift every
         split boundary and truncate the last sequence; insist on the
         ``(n_tokens + 1, K)`` shape that :meth:`CompiledCorpus.score` /
         :meth:`CompiledCorpus.extend_scores` produce.
         """
-        expected = (corpus.n_tokens + 1, np.asarray(startprob).shape[0])
-        if np.asarray(scores_ext).shape != expected:
+        startprob = np.asarray(startprob, dtype=np.float64)
+        transmat = np.asarray(transmat, dtype=np.float64)
+        _check_params(startprob, transmat)
+        scores_ext = np.asarray(scores_ext, dtype=np.float64)
+        expected = (corpus.n_tokens + 1, startprob.shape[0])
+        if scores_ext.shape != expected:
             raise DimensionMismatchError(
                 f"corpus score table must have shape {expected} "
-                f"(CompiledCorpus.score output), got {np.asarray(scores_ext).shape}"
+                f"(CompiledCorpus.score output), got {scores_ext.shape}"
             )
+        return startprob, transmat, scores_ext
 
+    @abc.abstractmethod
     def forward_backward_corpus(
         self,
         startprob: np.ndarray,
@@ -194,34 +147,16 @@ class InferenceBackend(abc.ABC):
         scores_ext: np.ndarray,
         log_startprob: np.ndarray | None = None,
         log_transmat: np.ndarray | None = None,
+        sequence_xi: bool = False,
     ) -> CorpusPosteriors:
-        """Stacked posterior statistics over a whole compiled corpus."""
-        self._check_corpus_table(startprob, corpus, scores_ext)
-        results = self.forward_backward(
-            startprob,
-            transmat,
-            corpus.tables(scores_ext),
-            log_startprob=log_startprob,
-            log_transmat=log_transmat,
-        )
-        n_states = np.asarray(startprob).shape[0]
-        gamma_concat = (
-            np.concatenate([r.gamma for r in results], axis=0)
-            if len(results) > 1
-            else results[0].gamma
-        )
-        start_counts = np.zeros(n_states)
-        xi_sum = np.zeros((n_states, n_states))
-        for r in results:
-            start_counts += r.gamma[0]
-            xi_sum += r.xi_sum
-        return CorpusPosteriors(
-            gamma_concat=gamma_concat,
-            start_counts=start_counts,
-            xi_sum=xi_sum,
-            log_likelihoods=np.array([r.log_likelihood for r in results]),
-        )
+        """Stacked posterior statistics over a whole compiled corpus.
 
+        With ``sequence_xi`` the result also carries every sequence's own
+        expected transition counts (:attr:`CorpusPosteriors.sequence_xi`),
+        which the per-sequence posterior entry points return.
+        """
+
+    @abc.abstractmethod
     def viterbi_corpus(
         self,
         startprob: np.ndarray,
@@ -232,15 +167,8 @@ class InferenceBackend(abc.ABC):
         log_transmat: np.ndarray | None = None,
     ) -> list[tuple[np.ndarray, float]]:
         """Most likely path and joint log-probability per corpus sequence."""
-        self._check_corpus_table(startprob, corpus, scores_ext)
-        return self.viterbi(
-            startprob,
-            transmat,
-            corpus.tables(scores_ext),
-            log_startprob=log_startprob,
-            log_transmat=log_transmat,
-        )
 
+    @abc.abstractmethod
     def log_likelihood_corpus(
         self,
         startprob: np.ndarray,
@@ -251,18 +179,8 @@ class InferenceBackend(abc.ABC):
         log_transmat: np.ndarray | None = None,
     ) -> np.ndarray:
         """Log marginal likelihood of every corpus sequence (1-D array)."""
-        self._check_corpus_table(startprob, corpus, scores_ext)
-        return self.log_likelihood(
-            startprob,
-            transmat,
-            corpus.tables(scores_ext),
-            log_startprob=log_startprob,
-            log_transmat=log_transmat,
-        )
 
-    # -------------------------------------------------------------- #
-    # Long-sequence (chunked) decoding
-    # -------------------------------------------------------------- #
+    @abc.abstractmethod
     def viterbi_long(
         self,
         startprob: np.ndarray,
@@ -271,43 +189,11 @@ class InferenceBackend(abc.ABC):
         *,
         window: int,
         overlap: int,
-        group_size: int = 64,
+        group_size: int | None = None,
         log_startprob: np.ndarray | None = None,
         log_transmat: np.ndarray | None = None,
     ) -> LongDecodeResult:
-        """Chunked Viterbi over a long sequence (see :func:`chunked_viterbi`).
-
-        The generic implementation batches each group of windows through
-        :meth:`viterbi`; backends with a native bucket kernel override it
-        to feed the padded window tensor to the kernel directly, skipping
-        the per-window repack.
-        """
-        startprob = np.asarray(startprob, dtype=np.float64)
-        transmat = np.asarray(transmat, dtype=np.float64)
-        _check_params(startprob, transmat)
-        if log_startprob is None:
-            log_startprob = safe_log(startprob)
-        if log_transmat is None:
-            log_transmat = safe_log(transmat)
-
-        def decode_bucket(start_log, padded, lengths):
-            return self.viterbi(
-                startprob,
-                transmat,
-                list(padded),
-                log_startprob=start_log,
-                log_transmat=log_transmat,
-            )
-
-        return chunked_viterbi(
-            log_startprob,
-            log_transmat,
-            source,
-            window=window,
-            overlap=overlap,
-            group_size=group_size,
-            decode_bucket=decode_bucket,
-        )
+        """Chunked Viterbi over one long sequence (see :func:`chunked_viterbi`)."""
 
 
 def _check_params(startprob: np.ndarray, transmat: np.ndarray) -> None:
@@ -321,17 +207,6 @@ def _check_params(startprob: np.ndarray, transmat: np.ndarray) -> None:
             f"transition matrix shape {transmat.shape} does not match "
             f"{n_states} states"
         )
-
-
-def _check_tables(n_states: int, log_obs_seqs: Sequence[np.ndarray]) -> None:
-    for log_obs in log_obs_seqs:
-        if log_obs.ndim != 2 or log_obs.shape[1] != n_states:
-            raise DimensionMismatchError(
-                f"observation log-likelihoods must have shape (T, {n_states}), "
-                f"got {log_obs.shape}"
-            )
-        if log_obs.shape[0] < 1:
-            raise DimensionMismatchError("sequences must have at least one timestep")
 
 
 class ScaledBatchedBackend(InferenceBackend):
@@ -353,10 +228,6 @@ class ScaledBatchedBackend(InferenceBackend):
     """
 
     name = "scaled"
-    #: The Viterbi kernel runs in the log domain (max-only recursions need
-    #: no scaling), so the engine's cached ``log(pi)`` / ``log(A)`` are
-    #: consumed when available; the forward-backward path ignores them.
-    wants_log_params = True
 
     def __init__(self, bucket_size: int = 64, n_workers: int = 1) -> None:
         if bucket_size < 1:
@@ -385,20 +256,6 @@ class ScaledBatchedBackend(InferenceBackend):
             ) as pool:
                 return list(pool.map(fn, buckets))
         return [fn(bucket) for bucket in buckets]
-
-    # -------------------------------------------------------------- #
-    # Packing helpers
-    # -------------------------------------------------------------- #
-    def _pack(
-        self, log_obs_seqs: Sequence[np.ndarray], idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stack the selected sequences into a zero-padded ``(B, L, K)`` tensor."""
-        lengths = np.array([log_obs_seqs[j].shape[0] for j in idx], dtype=np.int64)
-        n_states = log_obs_seqs[idx[0]].shape[1]
-        padded = np.zeros((idx.size, int(lengths.max()), n_states))
-        for row, j in enumerate(idx):
-            padded[row, : lengths[row]] = log_obs_seqs[j]
-        return padded, lengths
 
     @staticmethod
     def _obs_weights(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -463,24 +320,29 @@ class ScaledBatchedBackend(InferenceBackend):
         ).sum(axis=1)
         return alpha_hat, scale, obs, shift, log_likelihoods, underflow
 
-    def _posterior_bucket_arrays(  # repro: hot-path
+    def _fb_corpus_bucket(  # repro: hot-path
         self,
         startprob: np.ndarray,
         transmat: np.ndarray,
         log_b: np.ndarray,
         lengths: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Shared forward-backward pass over one padded bucket.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Forward-backward over one padded bucket of a compiled corpus.
 
-        Returns ``(alpha_hat, gamma, xi_weight, log_likelihoods, underflow)``;
-        per-sequence and corpus-level assemblies build on the same arrays.
+        Returns ``(gamma, xi_rows, log_likelihoods)``: ``gamma`` is the
+        padded ``(B, L, K)`` posterior tensor (ready to scatter through the
+        bucket's position map) and ``xi_rows`` the ``(B, K, K)`` expected
+        transition counts of each sequence, from one batched
+        ``(B, K, L) @ (B, L, K)`` matmul instead of a Python loop over the
+        bucket's sequences.  Underflowed rows are repaired in place with
+        the log-domain reference.
         """
         batch, max_len, n_states = log_b.shape
         alpha_hat, scale, obs, _, log_likelihoods, underflow = self._forward_bucket(
             startprob, transmat, log_b, lengths
         )
 
-        # Underflowed rows are recomputed by the log-domain reference later;
+        # Underflowed rows are recomputed by the log-domain reference below;
         # their pass through here can legitimately overflow (scale clamped to
         # _TINY), so silence the spurious warnings in that case only.
         errstate = (
@@ -501,88 +363,21 @@ class ScaledBatchedBackend(InferenceBackend):
 
             gamma = alpha_hat * beta_hat
             gamma /= np.maximum(gamma.sum(axis=2, keepdims=True), _TINY)
-            # xi weight w[b, t, j] = obs * beta_hat / c_t; xi_sum is then a
-            # single (K, T-1) @ (T-1, K) matmul per sequence, elementwise-
-            # scaled by A.
+            # xi weight w[b, t, j] = obs * beta_hat / c_t, so a sequence's
+            # xi_sum is A * (alpha_hat[:-1].T @ w[1:]).
             xi_weight = obs * beta_hat / scale[:, :, None]
-        return alpha_hat, gamma, xi_weight, log_likelihoods, underflow
 
-    def _forward_backward_bucket(  # repro: hot-path
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_b: np.ndarray,
-        lengths: np.ndarray,
-    ) -> list[SequencePosteriors]:
-        batch, _, n_states = log_b.shape
-        alpha_hat, gamma, xi_weight, log_likelihoods, underflow = (
-            self._posterior_bucket_arrays(startprob, transmat, log_b, lengths)
-        )
-
-        results: list[SequencePosteriors] = []
-        for b in range(batch):  # repro: loop-ok[ragged per-sequence xi assembly]
-            length = int(lengths[b])
-            if length > 1:
-                xi_sum = transmat * (
-                    alpha_hat[b, : length - 1].T @ xi_weight[b, 1:length]
-                )
-            else:
-                xi_sum = np.zeros((n_states, n_states))
-            results.append(
-                SequencePosteriors(
-                    gamma=gamma[b, :length].copy(),
-                    xi_sum=xi_sum,
-                    log_likelihood=float(log_likelihoods[b]),
-                )
-            )
-        if underflow.any():
-            log_pi, log_A = safe_log(startprob), safe_log(transmat)
-            for b in np.flatnonzero(underflow):  # repro: loop-ok[rare underflow repair]
-                results[b] = compute_posteriors_from_log(
-                    log_pi, log_A, log_b[b, : lengths[b]]
-                )
-        return results
-
-    def _fb_corpus_bucket(  # repro: hot-path
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_b: np.ndarray,
-        lengths: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Corpus-flavoured forward-backward over one padded bucket.
-
-        Returns ``(gamma, xi_part, start_part, log_likelihoods)`` where
-        ``gamma`` is the padded ``(B, L, K)`` posterior tensor (ready to
-        scatter through the bucket's position map) and ``xi_part`` /
-        ``start_part`` are the bucket's contributions to the corpus-level
-        transition and start statistics — computed with two stacked matmuls
-        instead of a Python loop over the bucket's sequences.  Underflowed
-        rows are repaired in place with the log-domain reference.
-        """
-        batch, max_len, n_states = log_b.shape
-        alpha_hat, gamma, xi_weight, log_likelihoods, underflow = (
-            self._posterior_bucket_arrays(startprob, transmat, log_b, lengths)
-        )
-
-        ok = ~underflow
         if max_len > 1:
             # Mask invalid (padded / underflowed) timestep pairs by
             # *assignment*, not multiplication: an underflowed row can hold
-            # inf in xi_weight, and inf * 0 would poison the shared matmul
-            # with NaN.
+            # inf in xi_weight, and inf * 0 would poison its matmul with NaN.
             valid = np.arange(1, max_len)[None, :] < lengths[:, None]
-            pair_ok = (valid & ok[:, None])[:, :, None]
+            pair_ok = (valid & ~underflow[:, None])[:, :, None]
             a = np.where(pair_ok, alpha_hat[:, :-1, :], 0.0)
             w = np.where(pair_ok, xi_weight[:, 1:, :], 0.0)
-            xi_part = transmat * (
-                a.reshape(-1, n_states).T @ w.reshape(-1, n_states)
-            )
+            xi_rows = transmat * (a.transpose(0, 2, 1) @ w)
         else:
-            xi_part = np.zeros((n_states, n_states))
-        start_part = (
-            gamma[ok, 0, :].sum(axis=0) if ok.any() else np.zeros(n_states)
-        )
+            xi_rows = np.zeros((batch, n_states, n_states))
 
         if underflow.any():
             log_pi, log_A = safe_log(startprob), safe_log(transmat)
@@ -590,28 +385,16 @@ class ScaledBatchedBackend(InferenceBackend):
                 length = int(lengths[b])
                 ref = compute_posteriors_from_log(log_pi, log_A, log_b[b, :length])
                 gamma[b, :length] = ref.gamma
-                xi_part += ref.xi_sum
-                start_part = start_part + ref.gamma[0]
+                xi_rows[b] = ref.xi_sum
                 log_likelihoods[b] = ref.log_likelihood
-        return gamma, xi_part, start_part, log_likelihoods
+        return gamma, xi_rows, log_likelihoods
 
     # -------------------------------------------------------------- #
     # Compiled-corpus kernels (zero per-sequence Python on the hot path)
     # -------------------------------------------------------------- #
-    def _check_corpus(
-        self, startprob: np.ndarray, transmat: np.ndarray,
-        corpus: CompiledCorpus, scores_ext: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        startprob = np.asarray(startprob, dtype=np.float64)
-        transmat = np.asarray(transmat, dtype=np.float64)
-        _check_params(startprob, transmat)
-        scores_ext = np.asarray(scores_ext, dtype=np.float64)
-        self._check_corpus_table(startprob, corpus, scores_ext)
-        return startprob, transmat, scores_ext
-
     def forward_backward_corpus(
         self, startprob, transmat, corpus, scores_ext,
-        log_startprob=None, log_transmat=None,
+        log_startprob=None, log_transmat=None, sequence_xi=False,
     ) -> CorpusPosteriors:
         startprob, transmat, scores_ext = self._check_corpus(
             startprob, transmat, corpus, scores_ext
@@ -621,21 +404,29 @@ class ScaledBatchedBackend(InferenceBackend):
         gamma_ext = np.empty((corpus.n_tokens + 1, n_states))
         start_counts = np.zeros(n_states)
         xi_sum = np.zeros((n_states, n_states))
+        xi_seq = (
+            np.empty((corpus.n_sequences, n_states, n_states)) if sequence_xi else None
+        )
         lls = np.empty(corpus.n_sequences)
 
         def run(bucket: CorpusBucket):
-            return self._fb_corpus_bucket(
+            gamma, xi_rows, ll_part = self._fb_corpus_bucket(
                 startprob, transmat, corpus.gather(scores_ext, bucket),
                 bucket.lengths,
             )
+            # Only the per-sequence entry points keep the rows; training
+            # reads the bucket total alone.
+            return gamma, xi_rows.sum(axis=0), xi_rows if sequence_xi else None, ll_part
 
-        for bucket, (gamma, xi_part, start_part, ll_part) in zip(
+        for bucket, (gamma, xi_part, xi_rows, ll_part) in zip(
             corpus.buckets, self._map_buckets(run, corpus.buckets)
         ):
             gamma_ext[bucket.positions] = gamma
             xi_sum += xi_part
-            start_counts += start_part
+            start_counts += gamma[:, 0].sum(axis=0)
             lls[bucket.idx] = ll_part
+            if xi_seq is not None:
+                xi_seq[bucket.idx] = xi_rows
         for lw in corpus.long_windows:
             # Long sequences bypass the padded buckets: sqrt-checkpointed
             # forward-backward over a view of the corpus score table keeps
@@ -649,11 +440,14 @@ class ScaledBatchedBackend(InferenceBackend):
             xi_sum += r.xi_sum
             start_counts += r.gamma[0]
             lls[lw.seq_index] = r.log_likelihood
+            if xi_seq is not None:
+                xi_seq[lw.seq_index] = r.xi_sum
         return CorpusPosteriors(
             gamma_concat=gamma_ext[:-1],
             start_counts=start_counts,
             xi_sum=xi_sum,
             log_likelihoods=lls,
+            sequence_xi=xi_seq,
         )
 
     def viterbi_corpus(
@@ -764,8 +558,8 @@ class ScaledBatchedBackend(InferenceBackend):
         no masked ``np.where`` updates at all.
         """
         if lengths.size > 1 and np.any(lengths[:-1] > lengths[1:]):
-            # Callers (batch packing, compiled corpora) always hand over
-            # length-sorted buckets; re-sort defensively if not.
+            # Callers (compiled corpora, long-sequence windows) always hand
+            # over length-sorted buckets; re-sort defensively if not.
             order = np.argsort(lengths, kind="stable")
             sorted_results = self._viterbi_bucket(
                 log_startprob, log_transmat_T, log_b[order], lengths[order]
@@ -881,116 +675,107 @@ class ScaledBatchedBackend(InferenceBackend):
             decode_bucket=decode_bucket,
         )
 
-    # -------------------------------------------------------------- #
-    # Public batched entry points
-    # -------------------------------------------------------------- #
-    def _run_buckets(self, startprob, transmat, log_obs_seqs, kernel):
-        startprob = np.asarray(startprob, dtype=np.float64)
-        transmat = np.asarray(transmat, dtype=np.float64)
-        log_obs_seqs = [np.asarray(lo, dtype=np.float64) for lo in log_obs_seqs]
-        _check_params(startprob, transmat)
-        if not log_obs_seqs:
-            return []
-        _check_tables(startprob.shape[0], log_obs_seqs)
-        lengths = [lo.shape[0] for lo in log_obs_seqs]
-        results: list = [None] * len(log_obs_seqs)
-        buckets = bucket_indices(lengths, self.bucket_size)
-
-        def run(idx: np.ndarray):
-            padded, bucket_lengths = self._pack(log_obs_seqs, idx)
-            return kernel(startprob, transmat, padded, bucket_lengths)
-
-        for idx, bucket_results in zip(buckets, self._map_buckets(run, buckets)):
-            for j, res in zip(idx, bucket_results):
-                results[j] = res
-        return results
-
-    def forward_backward(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
-    ) -> list[SequencePosteriors]:
-        return self._run_buckets(
-            startprob, transmat, log_obs_seqs, self._forward_backward_bucket
-        )
-
-    def viterbi(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
-    ) -> list[tuple[np.ndarray, float]]:
-        log_pi, log_AT = self._viterbi_log_params(
-            startprob, transmat, log_startprob, log_transmat
-        )
-
-        def kernel(pi, A, padded, lengths):
-            return self._viterbi_bucket(log_pi, log_AT, padded, lengths)
-
-        return self._run_buckets(startprob, transmat, log_obs_seqs, kernel)
-
-    def log_likelihood(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
-    ) -> np.ndarray:
-        def kernel(pi, A, padded, lengths):
-            _, _, _, _, lls, underflow = self._forward_bucket(pi, A, padded, lengths)
-            out = [float(ll) for ll in lls]
-            if underflow.any():
-                log_pi, log_A = safe_log(pi), safe_log(A)
-                for b in np.flatnonzero(underflow):
-                    log_alpha = log_forward(log_pi, log_A, padded[b, : lengths[b]])
-                    out[b] = float(logsumexp(log_alpha[-1]))
-            return out
-
-        return np.array(self._run_buckets(startprob, transmat, log_obs_seqs, kernel))
-
 
 class LogDomainBackend(InferenceBackend):
     """Reference backend: the original per-sequence log-space recursions.
 
-    Numerically identical to calling
-    :func:`repro.hmm.forward_backward.compute_posteriors` /
-    :func:`repro.hmm.viterbi.viterbi_decode` sequence by sequence; the only
-    difference is that ``log(pi)`` / ``log(A)`` are taken once per call
-    (the engine caches them across calls) instead of once per sequence.
+    Loops over the corpus one sequence at a time (``corpus.tables``) and
+    runs :func:`repro.hmm.forward_backward.compute_posteriors_from_log` /
+    :func:`repro.hmm.viterbi.viterbi_decode_from_log` on each, exactly as
+    calling them sequence by sequence would; long sequences are decoded
+    whole, never chunked.  The only difference is that ``log(pi)`` /
+    ``log(A)`` are taken once per call (the engine caches them across
+    calls) instead of once per sequence.
     """
 
     name = "log"
-    wants_log_params = True
 
-    def _prepare(self, startprob, transmat, log_startprob, log_transmat):
+    def _prepare(
+        self, startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+    ):
+        """Checked ``(log pi, log A, per-sequence tables)`` for the loops below."""
+        startprob, transmat, scores_ext = self._check_corpus(
+            startprob, transmat, corpus, scores_ext
+        )
         if log_startprob is None:
-            log_startprob = safe_log(np.asarray(startprob, dtype=np.float64))
+            log_startprob = safe_log(startprob)
         if log_transmat is None:
-            log_transmat = safe_log(np.asarray(transmat, dtype=np.float64))
-        return log_startprob, log_transmat
+            log_transmat = safe_log(transmat)
+        return log_startprob, log_transmat, corpus.tables(scores_ext)
 
-    def forward_backward(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
-    ) -> list[SequencePosteriors]:
-        log_pi, log_A = self._prepare(startprob, transmat, log_startprob, log_transmat)
-        return [
-            compute_posteriors_from_log(
-                log_pi, log_A, np.asarray(log_obs, dtype=np.float64)
-            )
-            for log_obs in log_obs_seqs
-        ]
+    def forward_backward_corpus(
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None, sequence_xi=False,
+    ) -> CorpusPosteriors:
+        log_pi, log_A, tables = self._prepare(
+            startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+        )
+        results = [compute_posteriors_from_log(log_pi, log_A, table) for table in tables]
+        xi = np.array([r.xi_sum for r in results])
+        return CorpusPosteriors(
+            gamma_concat=np.concatenate([r.gamma for r in results]),
+            start_counts=np.sum([r.gamma[0] for r in results], axis=0),
+            xi_sum=xi.sum(axis=0),
+            log_likelihoods=np.array([r.log_likelihood for r in results]),
+            sequence_xi=xi if sequence_xi else None,
+        )
 
-    def viterbi(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
+    def viterbi_corpus(
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None,
     ) -> list[tuple[np.ndarray, float]]:
-        log_pi, log_A = self._prepare(startprob, transmat, log_startprob, log_transmat)
-        return [
-            viterbi_decode_from_log(log_pi, log_A, np.asarray(log_obs, dtype=np.float64))
-            for log_obs in log_obs_seqs
-        ]
+        log_pi, log_A, tables = self._prepare(
+            startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+        )
+        return [viterbi_decode_from_log(log_pi, log_A, table) for table in tables]
 
-    def log_likelihood(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
+    def log_likelihood_corpus(
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None,
     ) -> np.ndarray:
-        log_pi, log_A = self._prepare(startprob, transmat, log_startprob, log_transmat)
-        out = np.empty(len(log_obs_seqs))
-        for n, log_obs in enumerate(log_obs_seqs):
-            log_alpha = log_forward(
-                log_pi, log_A, np.asarray(log_obs, dtype=np.float64)
-            )
-            out[n] = float(logsumexp(log_alpha[-1]))
-        return out
+        log_pi, log_A, tables = self._prepare(
+            startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+        )
+        return np.array(
+            [float(logsumexp(log_forward(log_pi, log_A, table)[-1])) for table in tables]
+        )
+
+    def viterbi_long(
+        self,
+        startprob: np.ndarray,
+        transmat: np.ndarray,
+        source,
+        *,
+        window: int,
+        overlap: int,
+        group_size: int | None = None,
+        log_startprob: np.ndarray | None = None,
+        log_transmat: np.ndarray | None = None,
+    ) -> LongDecodeResult:
+        """Chunked Viterbi decoding each window with the reference recursion."""
+        startprob = np.asarray(startprob, dtype=np.float64)
+        transmat = np.asarray(transmat, dtype=np.float64)
+        _check_params(startprob, transmat)
+        if log_startprob is None:
+            log_startprob = safe_log(startprob)
+        if log_transmat is None:
+            log_transmat = safe_log(transmat)
+
+        def decode_bucket(start_log, padded, lengths):
+            return [
+                viterbi_decode_from_log(start_log, log_transmat, padded[b, :n])
+                for b, n in enumerate(lengths)
+            ]
+
+        return chunked_viterbi(
+            log_startprob,
+            log_transmat,
+            source,
+            window=window,
+            overlap=overlap,
+            group_size=64 if group_size is None else group_size,
+            decode_bucket=decode_bucket,
+        )
 
 
 # ------------------------------------------------------------------ #

@@ -27,16 +27,6 @@ from repro.utils.maths import normalize_rows
 
 
 @dataclass
-class EStepStatistics:
-    """Sufficient statistics gathered during one E-step over all sequences."""
-
-    start_counts: np.ndarray
-    transition_counts: np.ndarray
-    posteriors: list[np.ndarray]
-    log_likelihood: float
-
-
-@dataclass
 class FitResult:
     """Summary of an EM run.
 
@@ -107,59 +97,8 @@ class BaumWelchTrainer:
         self.engine = engine
 
     # ------------------------------------------------------------------ #
-    def e_step(self, model: HMM, sequences: Sequence[np.ndarray]) -> EStepStatistics:
-        """Run batched forward-backward over all sequences and accumulate statistics.
-
-        The emission log-likelihood tables are computed once per iteration
-        and handed to the inference engine, which groups the sequences into
-        padded length-buckets so every timestep of the recursions is one
-        matmul over a whole bucket.
-        """
-        engine = self.engine if self.engine is not None else model.inference_engine
-        # Scored through the batch API so vectorizable families (categorical,
-        # Bernoulli) produce every table in one call instead of a
-        # per-sequence Python loop — the same path HMM.score/predict use.
-        log_obs_seqs = model.emissions.log_likelihoods_batch(sequences)
-        all_stats = engine.posteriors_batch(model.startprob, model.transmat, log_obs_seqs)
-
-        k = model.n_states
-        start_counts = np.zeros(k)
-        transition_counts = np.zeros((k, k))
-        posteriors: list[np.ndarray] = []
-        total_ll = 0.0
-        for stats in all_stats:
-            start_counts += stats.gamma[0]
-            transition_counts += stats.xi_sum
-            posteriors.append(stats.gamma)
-            total_ll += stats.log_likelihood
-        return EStepStatistics(
-            start_counts=start_counts,
-            transition_counts=transition_counts,
-            posteriors=posteriors,
-            log_likelihood=total_ll,
-        )
-
-    def m_step(
-        self, model: HMM, sequences: Sequence[np.ndarray], stats: EStepStatistics
-    ) -> None:
-        """Update ``pi``, ``A`` and the emissions in place."""
-        if self.update_startprob:
-            total = stats.start_counts.sum()
-            if total > 0:
-                model.startprob = stats.start_counts / total
-        if self.update_transitions:
-            model.transmat = self.transition_updater.update(
-                stats.transition_counts, model.transmat
-            )
-        else:
-            model.transmat = normalize_rows(model.transmat)
-        if self.update_emissions:
-            model.emissions.m_step(sequences, stats.posteriors)
-
-    def _m_step_corpus(
-        self, model: HMM, corpus: CompiledCorpus, stats: CorpusPosteriors
-    ) -> None:
-        """Corpus-level M-step: all accumulation already happened in the E-step."""
+    def _m_step(self, model: HMM, corpus: CompiledCorpus, stats: CorpusPosteriors) -> None:
+        """Update ``pi``, ``A`` and the emissions in place from stacked statistics."""
         if self.update_startprob:
             total = stats.start_counts.sum()
             if total > 0:
@@ -171,9 +110,8 @@ class BaumWelchTrainer:
         if self.update_emissions:
             model.emissions.m_step_compiled(corpus, stats.gamma_concat)
 
-    # ------------------------------------------------------------------ #
     def fit(
-        self, model: HMM, sequences: "Sequence[np.ndarray] | CompiledCorpus"
+        self, model: HMM, sequences: Sequence[np.ndarray] | CompiledCorpus
     ) -> FitResult:
         """Run EM until convergence, mutating ``model`` in place.
 
@@ -183,65 +121,38 @@ class BaumWelchTrainer:
         compiled once up front, so every EM iteration reuses the same
         concatenated token arrays, bucket assignments and padded index
         tensors: per iteration the corpus is re-scored with one vectorized
-        emission call, the backend runs one gather + recursion + scatter
-        per bucket, and the M-step consumes the stacked statistics directly
-        — no per-sequence Python anywhere in the loop.
-
-        Subclasses overriding :meth:`e_step` or :meth:`m_step` keep their
-        semantics: the compiled fast path is only taken when both steps are
-        the stock implementations, otherwise each iteration runs through
-        the overridable per-sequence methods.
+        emission call (:meth:`CompiledCorpus.score`), the E-step is one
+        :meth:`InferenceEngine.posteriors_corpus` call (a gather + recursion
+        + scatter per bucket), and the M-step consumes the stacked
+        statistics directly — no per-sequence Python anywhere in the loop.
         """
         if isinstance(sequences, CompiledCorpus):
-            corpus, raw_sequences = sequences, sequences.sequences
+            corpus = sequences
         else:
-            if not sequences:
+            if len(sequences) == 0:
                 raise ValidationError("sequences must be non-empty")
-            corpus, raw_sequences = None, sequences
-
-        if (
-            type(self).e_step is not BaumWelchTrainer.e_step
-            or type(self).m_step is not BaumWelchTrainer.m_step
-        ):
-            return self._fit_loop(
-                model,
-                lambda: self.e_step(model, raw_sequences),
-                lambda stats: self.m_step(model, raw_sequences, stats),
-            )
-
-        if corpus is None:
             engine = self.engine if self.engine is not None else model.inference_engine
-            corpus = engine.compile(raw_sequences)
+            corpus = engine.compile(sequences)
 
-        def corpus_e_step() -> CorpusPosteriors:
-            engine = self.engine if self.engine is not None else model.inference_engine
-            scores_ext = corpus.score(model.emissions)
-            return engine.posteriors_corpus(
-                model.startprob, model.transmat, corpus, scores_ext
-            )
-
-        return self._fit_loop(
-            model, corpus_e_step, lambda stats: self._m_step_corpus(model, corpus, stats)
-        )
-
-    def _fit_loop(self, model: HMM, run_e_step, run_m_step) -> FitResult:
-        """Shared EM driver: convergence check, history, non-convergence warning."""
         history: list[float] = []
         converged = False
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
-            stats = run_e_step()
+            engine = self.engine if self.engine is not None else model.inference_engine
+            stats = engine.posteriors_corpus(
+                model.startprob, model.transmat, corpus, corpus.score(model.emissions)
+            )
             history.append(stats.log_likelihood)
             if len(history) >= 2 and abs(history[-1] - history[-2]) < self.tol:
                 converged = True
                 break
-            run_m_step(stats)
+            self._m_step(model, corpus, stats)
 
         if not converged and self.warn_on_no_convergence:
             warnings.warn(
                 f"EM stopped after {n_iter} iterations without converging",
                 ConvergenceWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
         final_ll = history[-1] if history else float("-inf")
         return FitResult(

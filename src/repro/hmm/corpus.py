@@ -179,8 +179,8 @@ class CompiledCorpus:
                     f"all sequences must share dimensionality; got shapes "
                     f"{first.shape} and {arr.shape}"
                 )
-            if arr.shape[0] < 1:
-                raise ValidationError("sequences must have at least one timestep")
+            if arr.ndim == 0 or arr.shape[0] < 1:
+                raise DimensionMismatchError("sequences must have at least one timestep")
         self.sequences = arrays
         self.bucket_size = int(bucket_size)
         self.lengths = np.array([a.shape[0] for a in arrays], dtype=np.int64)
@@ -339,12 +339,18 @@ class CorpusPosteriors:
         the transition M-step input.
     log_likelihoods:
         ``(n_sequences,)`` per-sequence log marginal likelihoods.
+    sequence_xi:
+        ``(n_sequences, K, K)`` expected transition counts of each sequence
+        on its own, kept only when the caller asks the backend for them
+        (the per-sequence posterior entry points); ``None`` otherwise, so
+        training never holds the per-sequence array.
     """
 
     gamma_concat: np.ndarray
     start_counts: np.ndarray
     xi_sum: np.ndarray
     log_likelihoods: np.ndarray
+    sequence_xi: np.ndarray | None = None
 
     @property
     def log_likelihood(self) -> float:

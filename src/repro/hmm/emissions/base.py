@@ -99,8 +99,9 @@ class EmissionModel(abc.ABC):
 
         Equivalent to ``[self.log_likelihoods(s) for s in sequences]``;
         families whose scoring is an indexing or matmul operation override
-        this to score all sequences in one vectorized call (the batched
-        engine and the tagging service hand over whole micro-batches).
+        this to score all sequences in one vectorized call.  The engine,
+        the trainer and the tagging service score compiled corpora through
+        :meth:`log_likelihoods_concat` instead.
         """
         return [self.log_likelihoods(sequence) for sequence in sequences]
 
@@ -111,9 +112,8 @@ class EmissionModel(abc.ABC):
         :class:`~repro.hmm.corpus.CompiledCorpus` — all sequences stacked
         along the time axis.  The default treats it as one long sequence
         (every family scores timesteps independently); families with a
-        cheaper corpus-level form override it (categorical takes the log of
-        the ``(K, V)`` parameter table once and gathers, instead of taking
-        ``N * K`` logs of the gathered probabilities).
+        cheaper corpus-level form override it (categorical gathers and
+        takes logs in whichever order needs fewer logarithms).
         """
         return self.log_likelihoods(concat)
 

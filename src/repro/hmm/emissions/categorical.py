@@ -75,11 +75,14 @@ class CategoricalEmission(EmissionModel):
         return np.split(self.log_likelihoods(flat), bounds)
 
     def log_likelihoods_concat(self, concat: np.ndarray) -> np.ndarray:
-        """One ``(K, V)`` log-table plus one fancy-index for the whole corpus.
+        """Emission table of the whole corpus from one fancy-index and one log.
 
-        ``log`` of a gathered probability equals a gather of the logged
-        table, so this matches :meth:`log_likelihoods` exactly while taking
-        ``K * V`` logarithms instead of ``N * K``.
+        ``log`` is elementwise, so gathering then logging equals logging
+        the ``(K, V)`` table then gathering, bit for bit; the cheaper order
+        is picked from the input.  A corpus with at least ``V`` tokens logs
+        the table once (``K * V`` logs instead of ``N * K``); a short one,
+        such as a serving micro-batch, logs only the ``N * K`` gathered
+        entries instead of the whole vocabulary table.
         """
         obs = np.asarray(concat)
         if obs.ndim != 1:
@@ -88,6 +91,8 @@ class CategoricalEmission(EmissionModel):
             )
         if obs.size and (obs.min() < 0 or obs.max() >= self.n_symbols):
             raise ValidationError("observation symbol out of range")
+        if obs.size < self.n_symbols:
+            return safe_log(self.emission_probs.T[obs])
         return safe_log(self.emission_probs).T[obs]
 
     def m_step(

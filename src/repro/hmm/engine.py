@@ -2,15 +2,19 @@
 
 :class:`InferenceEngine` is the single entry point through which the model
 (:class:`~repro.hmm.model.HMM`), the EM trainer
-(:class:`~repro.hmm.baum_welch.BaumWelchTrainer`) and the supervised
-classifiers run forward-backward, Viterbi decoding and likelihood scoring.
-It adds two things on top of the raw backends in
+(:class:`~repro.hmm.baum_welch.BaumWelchTrainer`), the serving executor and
+the supervised classifiers run forward-backward, Viterbi decoding and
+likelihood scoring.  It adds two things on top of the raw backends in
 :mod:`repro.hmm.backends`:
 
-* **Batching** — every public method accepts a whole collection of
-  per-sequence emission log-likelihood tables, so the backend can group
-  sequences into padded length-buckets and run each timestep as one
-  ``(B, K) @ (K, K)`` matmul over the bucket.
+* **One data path** — every batch runs over a
+  :class:`~repro.hmm.corpus.CompiledCorpus` through the backend's corpus
+  kernels.  The scaled backend groups sequences into padded
+  length-buckets so each timestep is one ``(B, K) @ (K, K)`` matmul over
+  the bucket, and routes sequences past ``InferenceConfig.long_threshold``
+  through the chunked long-sequence kernels.  The ``*_batch`` methods
+  taking a list of per-sequence emission tables are thin adapters that
+  compile the tables as a corpus.
 * **Parameter caching** — derived parameters (``log(pi)``, ``log(A)`` and
   float64 copies of ``pi`` / ``A``) are computed once and reused across
   calls as long as the model parameters are unchanged, so repeated decodes
@@ -138,31 +142,18 @@ class InferenceEngine:
         return params
 
     # -------------------------------------------------------------- #
-    # Batched primitives
+    # Batched adapters over per-sequence emission tables
     # -------------------------------------------------------------- #
-    def _dispatch(self, method_name, startprob, transmat, log_obs_seqs):
-        p = self._cached(startprob, transmat)
-        wants_logs = self.backend.wants_log_params
-        return getattr(self.backend, method_name)(
-            p.startprob,
-            p.transmat,
-            log_obs_seqs,
-            log_startprob=p.log_startprob if wants_logs else None,
-            log_transmat=p.log_transmat if wants_logs else None,
-        )
+    def _table_corpus(
+        self, log_obs_seqs: Sequence[np.ndarray]
+    ) -> tuple[CompiledCorpus, np.ndarray]:
+        """Compile ``(T, K)`` emission tables as a corpus of their own rows.
 
-    @staticmethod
-    def _long_indices(log_obs_seqs: Sequence[np.ndarray]) -> list[int]:
-        """Positions of sequences exceeding the configured long threshold.
-
-        Resolved from the process-wide config at call time, so
-        :func:`~repro.core.config.inference_backend`-style overrides of
-        ``long_threshold`` take effect without rebuilding the engine.
+        The concatenated tables are the corpus' score table, so the corpus
+        kernels (and their long-sequence routing) run on them unchanged.
         """
-        from repro.core.config import get_inference_config
-
-        threshold = get_inference_config().long_threshold
-        return [n for n, lo in enumerate(log_obs_seqs) if len(lo) > threshold]
+        corpus = self.compile(log_obs_seqs)
+        return corpus, corpus.extend_scores(corpus.concat)
 
     def posteriors_batch(
         self,
@@ -172,28 +163,16 @@ class InferenceEngine:
     ) -> list[SequencePosteriors]:
         """Forward-backward posteriors for every emission table, in order.
 
-        Sequences longer than ``InferenceConfig.long_threshold`` are routed
-        through :meth:`posteriors_long` (sqrt-checkpointed, bounded working
-        memory); the rest go through the backend's padded buckets.
+        Each result carries the sequence's own ``xi_sum``.  On the scaled
+        backend, sequences longer than ``InferenceConfig.long_threshold``
+        take the sqrt-checkpointed recursion (bounded working memory) and
+        the rest go through padded buckets; the ``log`` reference runs
+        every sequence whole.
         """
-        long_idx = self._long_indices(log_obs_seqs)
-        if not long_idx:
-            return self._dispatch("forward_backward", startprob, transmat, log_obs_seqs)
-        long_set = set(long_idx)
-        short_pos = [n for n in range(len(log_obs_seqs)) if n not in long_set]
-        results: list[SequencePosteriors] = [None] * len(log_obs_seqs)
-        if short_pos:
-            short = self._dispatch(
-                "forward_backward",
-                startprob,
-                transmat,
-                [log_obs_seqs[n] for n in short_pos],
-            )
-            for n, res in zip(short_pos, short):
-                results[n] = res
-        for n in long_idx:
-            results[n] = self.posteriors_long(startprob, transmat, log_obs_seqs[n])
-        return results
+        if len(log_obs_seqs) == 0:
+            return []
+        corpus, scores_ext = self._table_corpus(log_obs_seqs)
+        return self.sequence_posteriors_corpus(startprob, transmat, corpus, scores_ext)
 
     def viterbi_batch(
         self,
@@ -203,26 +182,15 @@ class InferenceEngine:
     ) -> list[tuple[np.ndarray, float]]:
         """Most likely state path and joint log-probability per table.
 
-        Sequences longer than ``InferenceConfig.long_threshold`` are routed
-        through the chunked :meth:`viterbi_long` decode instead of a padded
-        bucket row.
+        On the scaled backend, sequences longer than
+        ``InferenceConfig.long_threshold`` are decoded by the chunked
+        :meth:`viterbi_long` kernel instead of a padded bucket row; the
+        ``log`` reference decodes every sequence whole.
         """
-        long_idx = self._long_indices(log_obs_seqs)
-        if not long_idx:
-            return self._dispatch("viterbi", startprob, transmat, log_obs_seqs)
-        long_set = set(long_idx)
-        short_pos = [n for n in range(len(log_obs_seqs)) if n not in long_set]
-        results: list[tuple[np.ndarray, float]] = [None] * len(log_obs_seqs)
-        if short_pos:
-            short = self._dispatch(
-                "viterbi", startprob, transmat, [log_obs_seqs[n] for n in short_pos]
-            )
-            for n, res in zip(short_pos, short):
-                results[n] = res
-        for n in long_idx:
-            long_res = self.viterbi_long(startprob, transmat, log_obs_seqs[n])
-            results[n] = (long_res.path, long_res.log_joint)
-        return results
+        if len(log_obs_seqs) == 0:
+            return []
+        corpus, scores_ext = self._table_corpus(log_obs_seqs)
+        return self.viterbi_corpus(startprob, transmat, corpus, scores_ext)
 
     def log_likelihood_batch(
         self,
@@ -232,25 +200,14 @@ class InferenceEngine:
     ) -> np.ndarray:
         """Log marginal likelihood of every emission table (1-D array).
 
-        Sequences longer than ``InferenceConfig.long_threshold`` are scored
-        by the forward-only streamed sweep (:meth:`log_likelihood_long`).
+        On the scaled backend, sequences longer than
+        ``InferenceConfig.long_threshold`` are scored by the forward-only
+        streamed sweep (:meth:`log_likelihood_long`).
         """
-        long_idx = self._long_indices(log_obs_seqs)
-        if not long_idx:
-            return self._dispatch("log_likelihood", startprob, transmat, log_obs_seqs)
-        long_set = set(long_idx)
-        short_pos = [n for n in range(len(log_obs_seqs)) if n not in long_set]
-        out = np.empty(len(log_obs_seqs))
-        if short_pos:
-            out[short_pos] = self._dispatch(
-                "log_likelihood",
-                startprob,
-                transmat,
-                [log_obs_seqs[n] for n in short_pos],
-            )
-        for n in long_idx:
-            out[n] = self.log_likelihood_long(startprob, transmat, log_obs_seqs[n])
-        return out
+        if len(log_obs_seqs) == 0:
+            return np.empty(0)
+        corpus, scores_ext = self._table_corpus(log_obs_seqs)
+        return self.log_likelihood_corpus(startprob, transmat, corpus, scores_ext)
 
     # -------------------------------------------------------------- #
     # Long-sequence (chunked / checkpointed) entry points
@@ -354,16 +311,18 @@ class InferenceEngine:
             decode_overlap=cfg.decode_overlap,
         )
 
-    def _dispatch_corpus(self, method_name, startprob, transmat, corpus, scores_ext):
+    def _dispatch_corpus(
+        self, method_name, startprob, transmat, corpus, scores_ext, **kwargs
+    ):
         p = self._cached(startprob, transmat)
-        wants_logs = self.backend.wants_log_params
         return getattr(self.backend, method_name)(
             p.startprob,
             p.transmat,
             corpus,
             scores_ext,
-            log_startprob=p.log_startprob if wants_logs else None,
-            log_transmat=p.log_transmat if wants_logs else None,
+            log_startprob=p.log_startprob,
+            log_transmat=p.log_transmat,
+            **kwargs,
         )
 
     def posteriors_corpus(
@@ -384,6 +343,29 @@ class InferenceEngine:
         return self._dispatch_corpus(
             "forward_backward_corpus", startprob, transmat, corpus, scores_ext
         )
+
+    def sequence_posteriors_corpus(
+        self,
+        startprob: np.ndarray,
+        transmat: np.ndarray,
+        corpus: CompiledCorpus,
+        scores_ext: np.ndarray,
+    ) -> list[SequencePosteriors]:
+        """Forward-backward posteriors of every corpus sequence, in order.
+
+        The same kernels as :meth:`posteriors_corpus`, but each result
+        carries the sequence's own ``xi_sum``, which training never needs.
+        """
+        stats = self._dispatch_corpus(
+            "forward_backward_corpus", startprob, transmat, corpus, scores_ext,
+            sequence_xi=True,
+        )
+        return [
+            SequencePosteriors(gamma=gamma, xi_sum=xi_sum, log_likelihood=float(ll))
+            for gamma, xi_sum, ll in zip(
+                corpus.split(stats.gamma_concat), stats.sequence_xi, stats.log_likelihoods
+            )
+        ]
 
     def viterbi_corpus(
         self,

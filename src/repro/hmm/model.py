@@ -131,47 +131,38 @@ class HMM:
 
     def log_likelihood(self, sequence: np.ndarray) -> float:
         """Log marginal likelihood ``log P(Y | lambda)`` of one sequence."""
-        log_obs = self.emissions.log_likelihoods(sequence)
-        return self.inference_engine.log_likelihood(self.startprob, self.transmat, log_obs)
+        return self.score([sequence])
 
     def score(self, sequences: Sequence[np.ndarray]) -> float:
         """Total log-likelihood of a collection of sequences (batched)."""
-        log_obs_seqs = self.emissions.log_likelihoods_batch(sequences)
-        return float(
-            self.inference_engine.log_likelihood_batch(
-                self.startprob, self.transmat, log_obs_seqs
-            ).sum()
-        )
+        if len(sequences) == 0:
+            return 0.0
+        return self.score_corpus(self.compile(sequences))
 
     def posteriors(self, sequence: np.ndarray) -> SequencePosteriors:
         """Forward-backward posteriors for one sequence."""
-        log_obs = self.emissions.log_likelihoods(sequence)
-        return self.inference_engine.posteriors(self.startprob, self.transmat, log_obs)
+        return self.posteriors_batch([sequence])[0]
 
     def posteriors_batch(
         self, sequences: Sequence[np.ndarray]
     ) -> list[SequencePosteriors]:
         """Forward-backward posteriors for a collection of sequences (batched)."""
-        log_obs_seqs = self.emissions.log_likelihoods_batch(sequences)
-        return self.inference_engine.posteriors_batch(
-            self.startprob, self.transmat, log_obs_seqs
+        if len(sequences) == 0:
+            return []
+        corpus = self.compile(sequences)
+        return self.inference_engine.sequence_posteriors_corpus(
+            self.startprob, self.transmat, corpus, corpus.score(self.emissions)
         )
 
     def decode(self, sequence: np.ndarray) -> np.ndarray:
         """Most likely hidden state path (Viterbi) for one sequence."""
-        log_obs = self.emissions.log_likelihoods(sequence)
-        path, _ = self.inference_engine.viterbi(self.startprob, self.transmat, log_obs)
-        return path
+        return self.predict([sequence])[0]
 
     def predict(self, sequences: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Viterbi paths for a collection of sequences (batched decode)."""
-        log_obs_seqs = self.emissions.log_likelihoods_batch(sequences)
-        return [
-            path
-            for path, _ in self.inference_engine.viterbi_batch(
-                self.startprob, self.transmat, log_obs_seqs
-            )
-        ]
+        if len(sequences) == 0:
+            return []
+        return self.predict_corpus(self.compile(sequences))
 
     def decode_long(
         self,

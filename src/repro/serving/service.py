@@ -5,11 +5,13 @@ from an offline trick into a serving primitive.  Clients submit individual
 tag (Viterbi) or score (log-likelihood) requests and get
 :class:`concurrent.futures.Future` handles back; the scheduling core
 (:class:`~repro.serving.scheduler.MicroBatchScheduler`) coalesces them
-into micro-batches and this module's :class:`_ModelExecutor` runs each
-micro-batch through one engine call, where the length-bucketed backend
-does the heavy lifting.  Per-request decoding pays the engine's per-call
-Python overhead on every sequence; micro-batching amortizes it across the
-batch — that gap is measured by ``benchmarks/test_bench_serving.py``.
+into micro-batches and this module's :class:`_ModelExecutor` compiles each
+micro-batch into :class:`~repro.hmm.corpus.CompiledCorpus` form, scores
+its emissions with one call and runs one corpus kernel per request kind,
+where the length-bucketed backend does the heavy lifting.  Per-request
+decoding pays the engine's per-call Python overhead on every sequence;
+micro-batching amortizes it across the batch — that gap is measured by
+``benchmarks/test_bench_serving.py``.
 
 Queueing policy — bounded-queue backpressure
 (:class:`~repro.exceptions.QueueFullError`), per-request deadlines
@@ -41,11 +43,6 @@ from repro.serving.scheduler import (
     Request,
     ServiceStats,
 )
-
-# Backward-compatible aliases: the dispatcher machinery moved to
-# repro.serving.scheduler; the old private names keep working.
-_MicroBatchDispatcher = MicroBatchScheduler
-_Request = Request
 
 __all__ = ["TaggingService", "ServiceStats"]
 
@@ -106,25 +103,34 @@ class _ModelExecutor:
                 future.set_exception(value)
 
     def _compute_coalesced(self, batch: list[Request]) -> list[tuple[bool, Any]]:
-        """One engine call per request kind; results in batch order."""
-        tables = self._hmm.emissions.log_likelihoods_batch(
-            [request.sequence for request in batch]
+        """One emission-scoring call for the whole micro-batch, then one
+        corpus kernel per request kind; results in batch order."""
+        hmm, engine = self._hmm, self._engine
+        groups = []
+        for kind in (_TAG, _SCORE):
+            idx = [i for i, r in enumerate(batch) if r.kind == kind]
+            if idx:
+                groups.append((kind, idx, engine.compile([batch[i].sequence for i in idx])))
+        table = hmm.emissions.log_likelihoods_concat(
+            np.concatenate([corpus.concat for _, _, corpus in groups])
         )
-        tag_idx = [i for i, r in enumerate(batch) if r.kind == _TAG]
-        score_idx = [i for i, r in enumerate(batch) if r.kind == _SCORE]
         outcomes: list[tuple[bool, Any]] = [(True, None)] * len(batch)
-        if tag_idx:
-            decoded = self._engine.viterbi_batch(
-                self._hmm.startprob, self._hmm.transmat, [tables[i] for i in tag_idx]
-            )
-            for i, (path, _) in zip(tag_idx, decoded):
-                outcomes[i] = (True, path)
-        if score_idx:
-            scores = self._engine.log_likelihood_batch(
-                self._hmm.startprob, self._hmm.transmat, [tables[i] for i in score_idx]
-            )
-            for i, value in zip(score_idx, scores):
-                outcomes[i] = (True, float(value))
+        start = 0
+        for kind, idx, corpus in groups:
+            scores_ext = corpus.extend_scores(table[start : start + corpus.n_tokens])
+            start += corpus.n_tokens
+            if kind == _TAG:
+                decoded = engine.viterbi_corpus(
+                    hmm.startprob, hmm.transmat, corpus, scores_ext
+                )
+                values = [path for path, _ in decoded]
+            else:
+                scores = engine.log_likelihood_corpus(
+                    hmm.startprob, hmm.transmat, corpus, scores_ext
+                )
+                values = [float(value) for value in scores]
+            for i, value in zip(idx, values):
+                outcomes[i] = (True, value)
         return outcomes
 
     def _compute_individually(self, batch: list[Request]) -> list[tuple[bool, Any]]:
@@ -132,21 +138,7 @@ class _ModelExecutor:
         outcomes: list[tuple[bool, Any]] = []
         for request in batch:
             try:
-                table = self._hmm.emissions.log_likelihoods(request.sequence)
-                if request.kind == _TAG:
-                    path, _ = self._engine.viterbi(
-                        self._hmm.startprob, self._hmm.transmat, table
-                    )
-                    outcomes.append((True, path))
-                else:
-                    outcomes.append(
-                        (
-                            True,
-                            self._engine.log_likelihood(
-                                self._hmm.startprob, self._hmm.transmat, table
-                            ),
-                        )
-                    )
+                outcomes += self._compute_coalesced([request])
             except Exception as exc:
                 outcomes.append((False, exc))
         return outcomes

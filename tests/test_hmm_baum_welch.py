@@ -91,14 +91,18 @@ class TestBaumWelchTrainer:
     def test_e_step_statistics_shapes(self):
         truth = make_ground_truth_categorical()
         _, observations = truth.sample_dataset(5, 6, seed=11)
-        trainer = BaumWelchTrainer()
-        stats = trainer.e_step(truth, observations)
+        corpus = truth.compile(observations)
+        stats = truth.inference_engine.posteriors_corpus(
+            truth.startprob, truth.transmat, corpus, corpus.score(truth.emissions)
+        )
         assert stats.start_counts.shape == (2,)
-        assert stats.transition_counts.shape == (2, 2)
-        assert len(stats.posteriors) == 5
+        assert stats.xi_sum.shape == (2, 2)
+        assert stats.gamma_concat.shape == (30, 2)
+        # The training E-step keeps no per-sequence transition counts.
+        assert stats.sequence_xi is None
         assert np.isclose(stats.start_counts.sum(), 5.0)
         # Each sequence contributes T-1 expected transitions.
-        assert np.isclose(stats.transition_counts.sum(), 5 * 5.0)
+        assert np.isclose(stats.xi_sum.sum(), 5 * 5.0)
 
 
 class _CountingEmission(CategoricalEmission):
@@ -126,20 +130,19 @@ class _CountingEmission(CategoricalEmission):
 
 
 class TestEStepUsesBatchScoring:
-    def test_e_step_scores_emissions_once_not_per_sequence(self):
-        # Regression: e_step used to loop `log_likelihoods(seq)` over the
-        # corpus, bypassing the vectorized batch API that HMM.score/predict
-        # already use.  One e_step over N sequences must make exactly one
-        # batch call, which for categorical emissions scores the whole
-        # concatenated corpus with a single log_likelihoods call.
+    def test_batch_inference_scores_emissions_once(self):
+        # Regression: batched inference used to loop `log_likelihoods(seq)`
+        # over the sequences.  predict/score over N sequences must score the
+        # compiled corpus with exactly one concatenated-corpus call.
         truth = make_ground_truth_categorical()
         _, observations = truth.sample_dataset(12, 9, seed=13)
         emissions = _CountingEmission(truth.emissions.emission_probs)
         model = HMM(truth.startprob, truth.transmat, emissions)
-        stats = BaumWelchTrainer().e_step(model, observations)
-        assert emissions.batch_calls == 1
-        assert emissions.single_calls == 1  # the one concatenated-corpus call
-        assert len(stats.posteriors) == 12
+        assert len(model.predict(observations)) == 12
+        assert emissions.concat_calls == 1
+        model.score(observations)
+        assert emissions.concat_calls == 2
+        assert emissions.single_calls == emissions.batch_calls == 0
 
     def test_fit_scores_emissions_once_per_iteration(self):
         truth = make_ground_truth_categorical()
@@ -152,43 +155,6 @@ class TestEStepUsesBatchScoring:
         assert emissions.concat_calls == n_iter
         assert emissions.single_calls == 0
         assert emissions.batch_calls == 0
-
-
-class TestSubclassedStepsStillDriveFit:
-    def test_overridden_m_step_is_called_by_fit(self):
-        # The compiled-corpus fast path must not bypass subclass overrides
-        # of the public e_step/m_step hooks.
-        calls = {"e": 0, "m": 0}
-
-        class LoggingTrainer(BaumWelchTrainer):
-            def e_step(self, model, sequences):
-                calls["e"] += 1
-                return super().e_step(model, sequences)
-
-            def m_step(self, model, sequences, stats):
-                calls["m"] += 1
-                super().m_step(model, sequences, stats)
-
-        truth = make_ground_truth_categorical()
-        _, observations = truth.sample_dataset(6, 7, seed=15)
-        model = HMM.random_init(CategoricalEmission.random_init(2, 3, seed=16), seed=16)
-        result = LoggingTrainer(max_iter=3, tol=0.0).fit(model, observations)
-        assert calls["e"] == result.n_iter == 3
-        assert calls["m"] == 3
-
-    def test_overridden_steps_match_stock_training(self):
-        class PlainSubclass(BaumWelchTrainer):
-            def m_step(self, model, sequences, stats):
-                super().m_step(model, sequences, stats)
-
-        truth = make_ground_truth_categorical()
-        _, observations = truth.sample_dataset(8, 6, seed=17)
-        a = HMM(truth.startprob.copy(), truth.transmat.copy(), truth.emissions.copy())
-        b = HMM(truth.startprob.copy(), truth.transmat.copy(), truth.emissions.copy())
-        ra = BaumWelchTrainer(max_iter=3, tol=0.0).fit(a, observations)
-        rb = PlainSubclass(max_iter=3, tol=0.0).fit(b, observations)
-        np.testing.assert_allclose(ra.history, rb.history, rtol=1e-9)
-        np.testing.assert_allclose(a.transmat, b.transmat, atol=1e-8)
 
 
 class TestMaximumLikelihoodTransitionUpdater:

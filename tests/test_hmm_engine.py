@@ -28,7 +28,7 @@ from repro.hmm import (
     available_backends,
     build_backend,
 )
-from repro.hmm.backends import bucket_indices
+from repro.hmm.corpus import bucket_indices
 from repro.hmm.forward_backward import compute_posteriors
 from repro.hmm.viterbi import viterbi_decode
 
@@ -87,6 +87,18 @@ def assert_backends_agree(startprob, transmat, log_obs_seqs, bucket_size=3):
         if not np.array_equal(g_path, w_path):
             rescored = path_log_joint(startprob, transmat, log_obs, g_path)
             assert abs(rescored - w_lj) < tol
+
+
+def _engine_call(method):
+    """``call(model, sequences)`` running an engine table-batch method."""
+
+    def call(model, sequences):
+        tables = [model.emissions.log_likelihoods(seq) for seq in sequences]
+        return getattr(model.inference_engine, method)(
+            model.startprob, model.transmat, tables
+        )
+
+    return call
 
 
 class TestScaledMatchesLogReference:
@@ -309,6 +321,34 @@ class TestBucketing:
     def test_empty_batch_is_fine(self):
         engine = InferenceEngine(backend="scaled")
         assert engine.posteriors_batch(np.array([1.0]), np.array([[1.0]]), []) == []
+
+    @pytest.mark.parametrize("backend", ["scaled", "log"])
+    @pytest.mark.parametrize(
+        "call, empty",
+        [
+            pytest.param(lambda m, s: m.predict(s), [], id="HMM.predict"),
+            pytest.param(lambda m, s: m.score(s), 0.0, id="HMM.score"),
+            pytest.param(lambda m, s: m.posteriors_batch(s), [], id="HMM.posteriors_batch"),
+            pytest.param(_engine_call("posteriors_batch"), [], id="engine.posteriors_batch"),
+            pytest.param(_engine_call("viterbi_batch"), [], id="engine.viterbi_batch"),
+            pytest.param(
+                _engine_call("log_likelihood_batch"), [], id="engine.log_likelihood_batch"
+            ),
+        ],
+    )
+    def test_empty_batch_and_zero_length_sequence(self, call, empty, backend):
+        # A compiled corpus cannot be empty, so every batch entry point
+        # short-circuits an empty batch, and a zero-length sequence keeps
+        # raising the narrower DimensionMismatchError.
+        model = HMM(
+            np.array([0.5, 0.5]),
+            np.array([[0.6, 0.4], [0.3, 0.7]]),
+            CategoricalEmission(np.array([[0.8, 0.2], [0.1, 0.9]])),
+            engine=InferenceEngine(backend=backend),
+        )
+        assert np.array_equal(call(model, []), empty)
+        with pytest.raises(DimensionMismatchError):
+            call(model, [np.array([0, 1]), np.array([], dtype=np.int64)])
 
     def test_mismatched_observation_table_raises(self):
         engine = InferenceEngine(backend="scaled")

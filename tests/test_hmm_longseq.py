@@ -38,6 +38,7 @@ from repro.hmm import (
     viterbi_decode_from_log,
 )
 from repro.hmm.baum_welch import BaumWelchTrainer
+from repro.hmm.corpus import CompiledCorpus
 from repro.hmm.engine import InferenceEngine
 from repro.hmm.longseq import _find_agreement_cut, as_source, score_path
 from repro.utils.maths import safe_log
@@ -52,6 +53,13 @@ def long_routing_config():
     )
     yield
     set_inference_config(base)
+
+
+def full_viterbi(backend, pi, transmat, table):
+    """Unchunked Viterbi of one whole table: a directly built corpus has no
+    long threshold, so the table decodes as one bucket row."""
+    corpus = CompiledCorpus([table])
+    return backend.viterbi_corpus(pi, transmat, corpus, corpus.extend_scores(table))[0]
 
 
 def random_model(rng, n_states, self_weight=0.0):
@@ -127,7 +135,7 @@ class TestChunkedViterbi:
         trials.append((pi, transmat, rng.normal(0.0, 2.0, size=(50_000, 6))))
 
         for pi, transmat, table in trials:
-            full_path, full_lj = backend.viterbi(pi, transmat, [table])[0]
+            full_path, full_lj = full_viterbi(backend, pi, transmat, table)
             res = backend.viterbi_long(
                 pi, transmat, table, window=256, overlap=64, group_size=8
             )
@@ -153,7 +161,7 @@ class TestChunkedViterbi:
         pi, transmat = random_model(rng, 5)
         table = rng.normal(size=(120, 5))
         backend = ScaledBatchedBackend()
-        full_path, full_lj = backend.viterbi(pi, transmat, [table])[0]
+        full_path, full_lj = full_viterbi(backend, pi, transmat, table)
         res = backend.viterbi_long(pi, transmat, table, window=256, overlap=64)
         assert res.n_windows == 1
         assert np.array_equal(res.path, full_path)
@@ -195,7 +203,7 @@ class TestChunkedViterbi:
         pi, transmat = random_model(rng, 4, self_weight=0.8)
         table = rng.normal(0.0, 2.0, size=(3000, 4))
         backend = ScaledBatchedBackend()
-        _, full_lj = backend.viterbi(pi, transmat, [table])[0]
+        _, full_lj = full_viterbi(backend, pi, transmat, table)
         res = backend.viterbi_long(pi, transmat, table, window=256, overlap=64)
         assert res.n_windows > 1
         if res.exact_stitch:
@@ -249,7 +257,7 @@ class TestAdversarialStitching:
         length = 4000
         table = rng.normal(0.0, 0.05, size=(length, n_states))
         backend = ScaledBatchedBackend()
-        full_path, _ = backend.viterbi(pi, transmat, [table])[0]
+        full_path, _ = full_viterbi(backend, pi, transmat, table)
 
         narrow = backend.viterbi_long(pi, transmat, table, window=64, overlap=2)
         wide = backend.viterbi_long(pi, transmat, table, window=512, overlap=128)

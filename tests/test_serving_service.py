@@ -2,6 +2,7 @@
 
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from repro.exceptions import (
 )
 from repro.hmm import HMM, CategoricalEmission
 from repro.serving import TaggingService
+from repro.serving.scheduler import _SCORE, _TAG, Request, ServiceStats
+from repro.serving.service import _ModelExecutor
 
 
 class _GatedEmission(CategoricalEmission):
@@ -36,11 +39,11 @@ class _GatedEmission(CategoricalEmission):
         self.started = threading.Event()
         self.batch_calls = 0
 
-    def log_likelihoods_batch(self, sequences):
+    def log_likelihoods_concat(self, concat):
         self.batch_calls += 1
         self.started.set()
         assert self.release.wait(timeout=30), "test forgot to release the gate"
-        return super().log_likelihoods_batch(sequences)
+        return super().log_likelihoods_concat(concat)
 
 
 def _gated_hmm(seed, n_states=4, n_symbols=8):
@@ -155,6 +158,63 @@ class TestBatching:
         assert stats["wall_seconds"] >= stats["busy_seconds"] * 0.5
 
 
+class _CountingEmission(CategoricalEmission):
+    """Categorical emissions counting every scoring entry point."""
+
+    family = "abstract"
+
+    def __init__(self, emission_probs):
+        super().__init__(emission_probs)
+        self.scoring_calls = 0
+
+    def log_likelihoods(self, sequence):
+        self.scoring_calls += 1
+        return super().log_likelihoods(sequence)
+
+    def log_likelihoods_batch(self, sequences):
+        self.scoring_calls += 1
+        return super().log_likelihoods_batch(sequences)
+
+    def log_likelihoods_concat(self, concat):
+        self.scoring_calls += 1
+        return super().log_likelihoods_concat(concat)
+
+
+class TestExecutor:
+    @pytest.mark.parametrize("n_requests", [1, 7, 64])
+    def test_one_scoring_call_and_results_match_hmm(self, n_requests):
+        # One coalesced micro-batch scores its emissions exactly once, and
+        # its paths and scores are bit-identical to HMM.predict / the
+        # per-sequence values HMM.score sums.
+        base = _random_hmm(3)
+        model = HMM(
+            base.startprob, base.transmat, _CountingEmission(base.emissions.emission_probs)
+        )
+        rng = np.random.default_rng(n_requests)
+        batch = [
+            Request(
+                kind=_SCORE if i % 3 == 0 else _TAG,
+                sequence=rng.integers(0, 8, size=int(rng.integers(1, 30))),
+                future=Future(),
+            )
+            for i in range(n_requests)
+        ]
+        _ModelExecutor(model).run(batch, ServiceStats())
+        assert model.emissions.scoring_calls == 1
+
+        tagged = [r for r in batch if r.kind == _TAG]
+        for request, want in zip(tagged, model.predict([r.sequence for r in tagged])):
+            np.testing.assert_array_equal(request.future.result(timeout=0), want)
+        scored = [r.sequence for r in batch if r.kind == _SCORE]
+        served = [r.future.result(timeout=0) for r in batch if r.kind == _SCORE]
+        corpus = model.compile(scored)
+        want = model.inference_engine.log_likelihood_corpus(
+            model.startprob, model.transmat, corpus, corpus.score(model.emissions)
+        )
+        np.testing.assert_array_equal(served, want)
+        assert np.sum(served) == model.score(scored)
+
+
 class TestLifecycle:
     def test_close_serves_queued_requests(self, model, sequences):
         service = TaggingService(model)
@@ -248,7 +308,7 @@ class TestLifecycle:
         class _InterruptingEmission(CategoricalEmission):
             family = "abstract"
 
-            def log_likelihoods_batch(self, seqs):
+            def log_likelihoods_concat(self, concat):
                 raise KeyboardInterrupt
 
             def log_likelihoods(self, seq):
