@@ -10,9 +10,9 @@ engine length-buckets.  Also reports the fixed-lag streaming decoder's
 single-token-latency path for reference.
 
 The streaming benchmark drives B=32 concurrent online streams: the
-baseline steps 32 independent ``StreamingSession`` objects per tick (what
-PR 2 serving had to do), the batched run advances all 32 through one
-``BatchedStreamingSession.step_many`` tick.  Results merge into
+baseline steps 32 one-stream sessions per tick (what 32 dedicated
+``StreamingDecoder`` objects run), the batched run advances all 32 through
+one ``BatchedStreamingSession.step_many`` tick.  Results merge into
 ``BENCH_serving.json`` at the repository root.
 """
 
@@ -27,6 +27,7 @@ import numpy as np
 from benchmarks.conftest import merge_results, print_header
 from repro.core.config import ServingConfig
 from repro.hmm import CategoricalEmission, HMM
+from repro.hmm.viterbi import viterbi_decode_from_log
 from repro.serving import StreamingDecoder, StreamingService, TaggingService
 from repro.utils.maths import safe_log
 
@@ -170,7 +171,7 @@ def test_micro_batched_service_speedup(benchmark, pos_corpus):
 
 def test_batched_streaming_speedup(benchmark, pos_corpus):
     """B=32 concurrent streams: one batched tick vs 32 per-stream steps."""
-    from repro.hmm.backends import BatchedStreamingSession, StreamingSession
+    from repro.hmm.backends import BatchedStreamingSession
 
     model = _build_model(pos_corpus)
     log_pi, log_A = safe_log(model.startprob), safe_log(model.transmat)
@@ -186,11 +187,13 @@ def test_batched_streaming_speedup(benchmark, pos_corpus):
     ]
 
     def per_stream():
-        sessions = [StreamingSession(log_pi, log_A, lag=lag) for _ in range(n_streams)]
+        sessions = [
+            BatchedStreamingSession(log_pi, log_A, lags=[lag]) for _ in range(n_streams)
+        ]
         for t in range(length):
             for session, table in zip(sessions, tables):
-                session.step(table[t])
-        return [session.finish() for session in sessions]
+                session.step_many(table[t : t + 1], [0])
+        return [session.finish(0) for session in sessions]
 
     def batched():
         session = BatchedStreamingSession(log_pi, log_A, lags=[lag] * n_streams)
@@ -198,8 +201,16 @@ def test_batched_streaming_speedup(benchmark, pos_corpus):
             session.step_many(np.stack([table[t] for table in tables]))
         return [session.finish(i) for i in range(n_streams)]
 
-    # Correctness gate: the batched path must reproduce per-stream labels.
-    assert per_stream() == batched()
+    # Correctness gate: each path's final window is the tail of the
+    # full-sequence Viterbi path.
+    tails = [
+        list(enumerate(viterbi_decode_from_log(log_pi, log_A, table)[0].tolist()))[
+            length - lag :
+        ]
+        for table in tables
+    ]
+    assert per_stream() == tails
+    assert batched() == tails
 
     per_stream_seconds = _time(per_stream)
     batched_seconds = _time(batched)

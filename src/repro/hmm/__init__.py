@@ -16,7 +16,6 @@ from repro.hmm.backends import (
     InferenceBackend,
     LogDomainBackend,
     ScaledBatchedBackend,
-    StreamingSession,
     StreamStep,
     available_backends,
     build_backend,
@@ -66,7 +65,6 @@ __all__ = [
     "InferenceEngine",
     "ScaledBatchedBackend",
     "LogDomainBackend",
-    "StreamingSession",
     "StreamStep",
     "available_backends",
     "build_backend",

@@ -65,7 +65,6 @@ __all__ = [
     "InferenceBackend",
     "ScaledBatchedBackend",
     "LogDomainBackend",
-    "StreamingSession",
     "BatchedStreamingSession",
     "StreamStep",
     "available_backends",
@@ -783,7 +782,7 @@ class LogDomainBackend(InferenceBackend):
 # ------------------------------------------------------------------ #
 @dataclass
 class StreamStep:
-    """Result of pushing one observation into a :class:`StreamingSession`.
+    """Result of advancing one stream of a :class:`BatchedStreamingSession`.
 
     Attributes
     ----------
@@ -804,11 +803,24 @@ class StreamStep:
     finalized: list[tuple[int, int]] = field(default_factory=list)
 
 
-class StreamingSession:
-    """Incremental single-sequence inference: filtering + fixed-lag Viterbi.
+@dataclass
+class _StreamSlot:
+    """Bookkeeping of one stream inside a :class:`BatchedStreamingSession`."""
 
-    The session consumes one emission log-likelihood row per call to
-    :meth:`step` and maintains two recursions in the log domain:
+    lag: int | None
+    t: int = -1
+    next_emit: int = 0
+    #: backpointer columns (as lists) for times (next_emit, t]; bp[i]
+    #: belongs to time next_emit + 1 + i.
+    bp: deque = field(default_factory=deque)
+    finished: bool = False
+
+
+class BatchedStreamingSession:
+    """Incremental inference over online streams: filtering + fixed-lag Viterbi.
+
+    Each call to :meth:`step_many` consumes one emission log-likelihood row
+    per advancing stream and maintains two log-domain recursions per stream:
 
     * the forward (filtering) recursion, yielding the posterior
       ``p(x_t | y_1..t)`` and the running log marginal likelihood after
@@ -819,173 +831,25 @@ class StreamingSession:
       state; :meth:`finish` flushes the remaining window with a full
       backtrack.
 
-    With ``lag >= T`` (or ``lag=None``, the "infinite lag" default) no
-    label is finalized before :meth:`finish`, and the emitted path is
-    bit-identical to :func:`~repro.hmm.viterbi.viterbi_decode_from_log` on
-    the whole sequence — the recursion and tie-breaking are the same ops.
+    The forward and Viterbi messages of all streams are stacked in one
+    ``(B, 2, K)`` array, so one tick over M advancing streams runs both
+    ``K x K`` propagations as a single vectorized ``(M, 2, K, K)``
+    broadcast/reduction.  A single online sequence is a session with one
+    stream, stepped one row per tick; that is what
+    :class:`~repro.serving.StreamingDecoder` runs.
 
-    The per-step cost is ``O(K^2)``; sessions are deliberately
-    single-sequence (online arrivals cannot be length-bucketed), which is
-    why the batched backends are unaffected.
-    """
-
-    def __init__(
-        self,
-        log_startprob: np.ndarray,
-        log_transmat: np.ndarray,
-        lag: int | None = None,
-    ) -> None:
-        if lag is not None and lag < 1:
-            raise ValidationError(f"lag must be at least 1, got {lag}")
-        self._log_pi = np.asarray(log_startprob, dtype=np.float64)
-        self._log_A = np.asarray(log_transmat, dtype=np.float64)
-        n_states = self._log_pi.shape[0]
-        if self._log_A.shape != (n_states, n_states):
-            raise DimensionMismatchError(
-                f"transition matrix shape {self._log_A.shape} does not match "
-                f"{n_states} states"
-            )
-        self.n_states = n_states
-        self.lag = lag
-        self._log_alpha: np.ndarray | None = None
-        self._log_delta: np.ndarray | None = None
-        #: backpointer columns for times (next_emit, t]; _bp[i] belongs to
-        #: time _next_emit + 1 + i.
-        self._bp: deque[np.ndarray] = deque()
-        self._t = -1
-        self._next_emit = 0
-        self._finished = False
-
-    @property
-    def t(self) -> int:
-        """Index of the last consumed timestep (-1 before the first step)."""
-        return self._t
-
-    def _backtrack(self, down_to: int) -> list[tuple[int, int]]:
-        """States of positions ``down_to .. t`` on the current best path."""
-        assert self._log_delta is not None
-        state = int(np.argmax(self._log_delta))
-        states = [state]
-        # self._bp holds columns for times (next_emit, t]; walk back from t.
-        for tau in range(self._t, down_to, -1):
-            state = int(self._bp[tau - self._next_emit - 1][state])
-            states.append(state)
-        states.reverse()
-        return list(zip(range(down_to, self._t + 1), states))
-
-    def step(self, log_obs_t: np.ndarray) -> StreamStep:
-        """Consume one ``(K,)`` emission log-likelihood row."""
-        if self._finished:
-            raise ValidationError("cannot step a finished StreamingSession")
-        row = np.asarray(log_obs_t, dtype=np.float64).reshape(-1)
-        if row.shape[0] != self.n_states:
-            raise DimensionMismatchError(
-                f"expected a log-likelihood row of length {self.n_states}, "
-                f"got shape {np.asarray(log_obs_t).shape}"
-            )
-        self._t += 1
-        if self._t == 0:
-            self._log_alpha = self._log_pi + row
-            self._log_delta = self._log_pi + row
-        else:
-            self._log_alpha = row + logsumexp(
-                self._log_alpha[:, None] + self._log_A, axis=0
-            )
-            scores = self._log_delta[:, None] + self._log_A
-            backpointer = np.argmax(scores, axis=0)
-            self._log_delta = (
-                scores[backpointer, np.arange(self.n_states)] + row
-            )
-            self._bp.append(backpointer)
-
-        log_likelihood = float(logsumexp(self._log_alpha))
-        filtering = np.exp(self._log_alpha - log_likelihood)
-        filtering /= filtering.sum()
-
-        finalized: list[tuple[int, int]] = []
-        if self.lag is not None and self._t - self._next_emit >= self.lag:
-            last = self._t - self.lag  # newest position leaving the window
-            finalized = self._backtrack(self._next_emit)[: last - self._next_emit + 1]
-            self._next_emit = last + 1
-            while len(self._bp) > self._t - self._next_emit:
-                self._bp.popleft()
-        return StreamStep(
-            t=self._t,
-            filtering=filtering,
-            log_likelihood=log_likelihood,
-            finalized=finalized,
-        )
-
-    def finish(self) -> list[tuple[int, int]]:
-        """Finalize the remaining window; returns ``(position, state)`` pairs.
-
-        After ``finish`` the session rejects further :meth:`step` calls.
-        When no label was finalized early (``lag >= T`` or ``lag=None``) the
-        concatenation of all finalized pairs is exactly the full-sequence
-        Viterbi path.
-        """
-        if self._finished:
-            return []
-        self._finished = True
-        if self._t < 0:
-            return []
-        remaining = self._backtrack(self._next_emit)
-        self._bp.clear()
-        self._next_emit = self._t + 1
-        return remaining
-
-    def peek_tail(self) -> list[tuple[int, int]]:
-        """Current best labels of the not-yet-finalized window, non-destructively.
-
-        Returns the same ``(position, state)`` pairs :meth:`finish` would
-        emit right now, but keeps the session open: the window is not
-        flushed, and further :meth:`step` calls may still revise these
-        labels (they are provisional, exactly like the tail of a chunked
-        decode window before its overlap is stitched).
-        """
-        if self._finished or self._t < 0:
-            return []
-        return self._backtrack(self._next_emit)
-
-    @property
-    def log_joint(self) -> float:
-        """Joint log-probability of the current best (Viterbi) path."""
-        if self._log_delta is None:
-            raise ValidationError("no observations consumed yet")
-        return float(np.max(self._log_delta))
-
-
-@dataclass
-class _StreamSlot:
-    """Bookkeeping of one stream inside a :class:`BatchedStreamingSession`."""
-
-    lag: int | None
-    t: int = -1
-    next_emit: int = 0
-    bp: deque = field(default_factory=deque)
-    finished: bool = False
-
-
-class BatchedStreamingSession:
-    """Many concurrent streaming sessions stepped together per tick.
-
-    :class:`StreamingSession` pays ``O(K^2)`` *plus several Python-level
-    numpy calls* per token per stream; serving B concurrent online streams
-    that way costs B separate session steps per tick.  This session keeps
-    the forward and Viterbi messages of all streams stacked as ``(B, K)``
-    arrays, so one tick over the active streams runs the ``K x K``
-    propagation as a single vectorized ``(B, K, K)`` broadcast/reduction —
-    the batched-matmul shape of the offline backends, applied to online
-    traffic.
-
-    Per-stream results are **bit-identical** to :class:`StreamingSession`:
-    every elementary operation (broadcast add against ``log(A)``, axis
-    max/argmax with first-index tie-breaking, the ``logsumexp``
-    reductions, posterior normalization) reduces over the same ``K``
-    values in the same order as the single-stream recursion, and the
-    fixed-lag window bookkeeping (backpointer deque, backtracking) is the
-    same code shape per stream.  Equivalence is asserted exactly in
-    ``tests/test_hmm_streaming_batch.py``.
+    Every step equals the offline log-domain reference exactly: its
+    ``log_likelihood`` is the ``logsumexp`` of the
+    :func:`~repro.hmm.forward_backward.log_forward` row, its ``filtering``
+    is that row normalized, the labels finalized at step ``t`` are
+    :func:`~repro.hmm.viterbi.viterbi_decode_from_log` on the prefix up to
+    ``t``, and :meth:`finish` returns the full-sequence Viterbi path from
+    the first unfinalized position on (so with ``lag >= T`` or
+    ``lag=None`` the emitted path *is* the Viterbi path).  Each reduction
+    runs over the same ``K`` values in the same order as the reference,
+    and argmax breaks ties on the first index; the exact equalities are
+    asserted in ``tests/test_hmm_streaming_batch.py``.  The per-step cost
+    is ``O(K^2)`` per stream.
 
     Streams are independent: they may have different lags, start at
     different times (:meth:`add_stream` mid-flight), advance on different
@@ -1010,8 +874,8 @@ class BatchedStreamingSession:
         self.n_states = n_states
         self._slots: list[_StreamSlot] = []
         self._free: list[int] = []
-        self._log_alpha = np.zeros((0, n_states))
-        self._log_delta = np.zeros((0, n_states))
+        #: per-stream messages: [:, 0] forward log-alpha, [:, 1] Viterbi delta.
+        self._messages = np.zeros((0, 2, n_states))
         for lag in lags:
             self.add_stream(lag)
 
@@ -1032,13 +896,11 @@ class BatchedStreamingSession:
         if self._free:
             i = self._free.pop()
             self._slots[i] = _StreamSlot(lag=lag)
-            self._log_alpha[i] = 0.0
-            self._log_delta[i] = 0.0
+            self._messages[i] = 0.0
             return i
         self._slots.append(_StreamSlot(lag=lag))
-        pad = np.zeros((1, self.n_states))
-        self._log_alpha = np.concatenate([self._log_alpha, pad])
-        self._log_delta = np.concatenate([self._log_delta, pad])
+        pad = np.zeros((1, 2, self.n_states))
+        self._messages = np.concatenate([self._messages, pad])
         return len(self._slots) - 1
 
     def _slot(self, i: int) -> _StreamSlot:
@@ -1047,23 +909,27 @@ class BatchedStreamingSession:
         return self._slots[i]
 
     # -------------------------------------------------------------- #
+    @staticmethod
     def _backtrack(
-        self, i: int, down_to: int, best_state: int | None = None
+        slot: _StreamSlot, state: int, down_to: int
     ) -> list[tuple[int, int]]:
-        """States of positions ``down_to .. t`` on stream ``i``'s best path.
+        """States of positions ``down_to .. t`` on a stream's best path.
 
-        ``best_state`` is the (precomputed) argmax of the stream's current
-        Viterbi message; stepping passes the batched per-tick argmax so the
-        per-stream bookkeeping loop does no numpy calls.
+        ``state`` is the argmax of the stream's current Viterbi message.
         """
-        slot = self._slots[i]
-        state = int(np.argmax(self._log_delta[i])) if best_state is None else best_state
         states = [state]
         for tau in range(slot.t, down_to, -1):
-            state = int(slot.bp[tau - slot.next_emit - 1][state])
+            state = slot.bp[tau - slot.next_emit - 1][state]
             states.append(state)
         states.reverse()
         return list(zip(range(down_to, slot.t + 1), states))
+
+    def _tail(self, i: int) -> list[tuple[int, int]]:
+        """Stream ``i``'s current best labels from its first unfinalized position."""
+        slot = self._slots[i]
+        if slot.t < 0:
+            return []
+        return self._backtrack(slot, int(np.argmax(self._messages[i, 1])), slot.next_emit)
 
     def step_many(  # repro: hot-path
         self,
@@ -1098,71 +964,62 @@ class BatchedStreamingSession:
             )
         if len(set(streams)) != len(streams):
             raise ValidationError("duplicate stream ids in one tick")
-        for i in streams:  # repro: loop-ok[pre-flight validation, M small]
-            if self._slot(i).finished:
-                raise ValidationError(f"cannot step finished stream {i}")
+        slots = [self._slot(i) for i in streams]
+        finished = [i for i, slot in zip(streams, slots) if slot.finished]
+        if finished:
+            raise ValidationError(f"cannot step finished stream {finished[0]}")
         if not streams:
             return []
 
-        idx = np.asarray(streams, dtype=np.int64)
-        fresh = np.array([self._slots[i].t < 0 for i in streams])
-        backpointers: np.ndarray | None = None
-        if not fresh.any():
-            # Fast path (the steady state of a long-running pool): no mask
-            # gather/scatter, just the batched recursion over all M rows.
-            new_alpha = rows + logsumexp(
-                self._log_alpha[idx][:, :, None] + self._log_A[None, :, :], axis=1
-            )
-            scores = self._log_delta[idx][:, :, None] + self._log_A[None, :, :]
-            backpointers = np.argmax(scores, axis=1)
-            best = np.take_along_axis(scores, backpointers[:, None, :], axis=1)[:, 0, :]
-            new_delta = best + rows
-        else:
-            ongoing = ~fresh
-            new_alpha = np.empty_like(rows)
-            new_delta = np.empty_like(rows)
-            start = self._log_pi[None, :] + rows[fresh]
-            new_alpha[fresh] = start
-            new_delta[fresh] = start
-            if ongoing.any():
-                sub_rows = rows[ongoing]
-                alpha = self._log_alpha[idx[ongoing]]
-                new_alpha[ongoing] = sub_rows + logsumexp(
-                    alpha[:, :, None] + self._log_A[None, :, :], axis=1
-                )
-                scores = (
-                    self._log_delta[idx[ongoing]][:, :, None] + self._log_A[None, :, :]
-                )
-                backpointers = np.argmax(scores, axis=1)
-                best = np.take_along_axis(
-                    scores, backpointers[:, None, :], axis=1
-                )[:, 0, :]
-                new_delta[ongoing] = best + sub_rows
-        self._log_alpha[idx] = new_alpha
-        self._log_delta[idx] = new_delta
+        # One recursion over all M rows and both messages: a single
+        # (M, 2, K, K) broadcast whose max over the previous state is both
+        # the forward logsumexp's peak and the Viterbi score.  Streams
+        # taking their first token then overwrite their rows with
+        # log(pi) + row; a tick of first tokens only has nothing to
+        # propagate.  Both logsumexp reductions are
+        # repro.utils.maths.logsumexp inlined op for op, with the ufunc
+        # reductions called directly to skip the ndarray method wrappers.
+        fresh = [m for m, slot in enumerate(slots) if slot.t < 0]
+        bp_columns: list[list[int]] = []
+        with np.errstate(divide="ignore"):
+            if len(fresh) == len(slots):
+                messages = (self._log_pi + rows)[:, None, :].repeat(2, axis=1)
+            else:
+                scores = self._messages.take(streams, axis=0)[:, :, :, None] + self._log_A
+                best = np.maximum.reduce(scores, axis=2)
+                bp_columns = scores[:, 1].argmax(axis=1).tolist()
+                peak = np.where(np.isfinite(best[:, :1]), best[:, :1], 0.0)
+                alpha = scores[:, 0] - peak
+                np.exp(alpha, out=alpha)
+                best[:, 0] = np.log(np.add.reduce(alpha, axis=1)) + peak[:, 0]  # repro: ignore[hot-path-unguarded-log] -- exact logsumexp: a zero sum must give -inf, a clamp would change underflowing rows
+                messages = best + rows[:, None, :]
+                if fresh:
+                    messages[fresh] = (self._log_pi + rows[fresh])[:, None, :]
+            self._messages[streams] = messages
 
-        log_likelihoods = logsumexp(new_alpha, axis=1)
-        filtering = np.exp(new_alpha - log_likelihoods[:, None])
-        filtering /= filtering.sum(axis=1, keepdims=True)
-        # One batched argmax feeds every stream's fixed-lag backtrack this
-        # tick (identical tie-breaking to the per-row argmax).
-        best_states = np.argmax(new_delta, axis=1)
+            new_alpha = messages[:, 0]
+            peak = np.maximum.reduce(new_alpha, axis=1, keepdims=True)
+            peak = np.where(np.isfinite(peak), peak, 0.0)
+            summed = np.add.reduce(np.exp(new_alpha - peak), axis=1, keepdims=True)
+            log_likelihood = np.log(summed) + peak  # repro: ignore[hot-path-unguarded-log] -- exact logsumexp: a zero sum must give -inf, a clamp would change underflowing rows
+        filtering = np.exp(new_alpha - log_likelihood)
+        filtering /= np.add.reduce(filtering, axis=1, keepdims=True)
 
+        # Per-stream values become Python scalars once per tick, so the
+        # bookkeeping loop below makes no numpy calls.
+        log_likelihoods = log_likelihood[:, 0].tolist()
+        best_states = messages[:, 1].argmax(axis=1).tolist()
         steps: list[StreamStep] = []
-        ongoing_row = 0
-        for m, i in enumerate(streams):  # repro: loop-ok[per-stream step assembly]
-            slot = self._slots[i]
+        for m, slot in enumerate(slots):  # repro: loop-ok[per-stream step assembly]
             slot.t += 1
-            if not fresh[m]:
-                assert backpointers is not None
-                slot.bp.append(backpointers[ongoing_row])
-                ongoing_row += 1
+            if slot.t:
+                slot.bp.append(bp_columns[m])
             finalized: list[tuple[int, int]] = []
             if slot.lag is not None and slot.t - slot.next_emit >= slot.lag:
                 last = slot.t - slot.lag
-                finalized = self._backtrack(
-                    i, slot.next_emit, best_state=int(best_states[m])
-                )[: last - slot.next_emit + 1]
+                finalized = self._backtrack(slot, best_states[m], slot.next_emit)[
+                    : last - slot.next_emit + 1
+                ]
                 slot.next_emit = last + 1
                 while len(slot.bp) > slot.t - slot.next_emit:  # repro: loop-ok[bounded window trim]
                     slot.bp.popleft()
@@ -1170,7 +1027,7 @@ class BatchedStreamingSession:
                 StreamStep(
                     t=slot.t,
                     filtering=filtering[m].copy(),
-                    log_likelihood=float(log_likelihoods[m]),
+                    log_likelihood=log_likelihoods[m],
                     finalized=finalized,
                 )
             )
@@ -1184,16 +1041,16 @@ class BatchedStreamingSession:
     def finish(self, stream: int) -> list[tuple[int, int]]:
         """Finalize one stream's remaining window and free its slot.
 
-        Returns the remaining ``(position, state)`` pairs, exactly as
-        :meth:`StreamingSession.finish` would for the same inputs.
+        Returns the remaining ``(position, state)`` pairs: the full-sequence
+        Viterbi path from the first unfinalized position on.  When no label
+        was finalized early (``lag >= T`` or ``lag=None``) that is the whole
+        Viterbi path.  A finished stream returns ``[]``.
         """
         slot = self._slot(stream)
         if slot.finished:
             return []
         slot.finished = True
-        remaining: list[tuple[int, int]] = []
-        if slot.t >= 0:
-            remaining = self._backtrack(stream, slot.next_emit)
+        remaining = self._tail(stream)
         slot.bp.clear()
         slot.next_emit = slot.t + 1
         self._free.append(stream)
@@ -1202,14 +1059,15 @@ class BatchedStreamingSession:
     def peek_tail(self, stream: int) -> list[tuple[int, int]]:
         """One stream's provisional tail labels, without finalizing it.
 
-        The batched analogue of :meth:`StreamingSession.peek_tail`: the
-        pairs :meth:`finish` would emit for ``stream`` right now, with the
-        stream left open and its window intact.
+        Returns the same ``(position, state)`` pairs :meth:`finish` would
+        emit for ``stream`` right now, but keeps the stream open: the
+        window is not flushed, and further steps may still revise these
+        labels (they are provisional, exactly like the tail of a chunked
+        decode window before its overlap is stitched).
         """
-        slot = self._slot(stream)
-        if slot.finished or slot.t < 0:
+        if self._slot(stream).finished:
             return []
-        return self._backtrack(stream, slot.next_emit)
+        return self._tail(stream)
 
 
 _BACKENDS = {

@@ -37,7 +37,6 @@ import numpy as np
 from repro.hmm.backends import (
     BatchedStreamingSession,
     InferenceBackend,
-    StreamingSession,
     build_backend,
 )
 from repro.hmm.corpus import CompiledCorpus, CorpusPosteriors
@@ -415,45 +414,22 @@ class InferenceEngine:
     # -------------------------------------------------------------- #
     # Streaming
     # -------------------------------------------------------------- #
-    def start_stream(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        lag: int | None = None,
-    ) -> StreamingSession:
-        """Open an incremental inference session for one online sequence.
-
-        The session consumes one emission log-likelihood row at a time and
-        exposes per-step filtering posteriors plus fixed-lag Viterbi labels
-        (see :class:`~repro.hmm.backends.StreamingSession`).  ``log(pi)`` /
-        ``log(A)`` come from the engine's parameter cache, so opening many
-        sessions against the same model re-derives nothing.
-
-        Parameters
-        ----------
-        startprob, transmat:
-            Probability-domain model parameters.
-        lag:
-            Fixed lag of the sliding Viterbi window; ``None`` defers all
-            labels to ``finish()`` (exact full-sequence Viterbi).
-        """
-        p = self._cached(startprob, transmat)
-        return StreamingSession(p.log_startprob, p.log_transmat, lag=lag)
-
     def start_stream_batch(
         self,
         startprob: np.ndarray,
         transmat: np.ndarray,
         lags: Sequence[int | None] = (),
     ) -> BatchedStreamingSession:
-        """Open a batched incremental session over many concurrent streams.
+        """Open an incremental inference session for online streams.
 
         Each tick steps every advancing stream with one vectorized
-        ``(B, K, K)`` propagation instead of B single-stream session steps,
-        while staying bit-identical per stream to
-        :meth:`start_stream` sessions (see
-        :class:`~repro.hmm.backends.BatchedStreamingSession`).  Streams can
-        also be added after construction via ``add_stream``.
+        ``(M, K, K)`` propagation and exposes per-step filtering posteriors
+        plus fixed-lag Viterbi labels (see
+        :class:`~repro.hmm.backends.BatchedStreamingSession`); one online
+        sequence is a session with one stream.  Streams can also be added
+        after construction via ``add_stream``.  ``log(pi)`` / ``log(A)``
+        come from the engine's parameter cache, so opening many sessions
+        against the same model re-derives nothing.
 
         Parameters
         ----------

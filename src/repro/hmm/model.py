@@ -220,23 +220,14 @@ class HMM:
             ).sum()
         )
 
-    def stream(self, lag: int | None = None):
-        """Open a :class:`~repro.hmm.backends.StreamingSession` on this model.
-
-        The caller feeds emission log-likelihood rows; for a higher-level
-        tokens-in/labels-out interface see
-        :class:`repro.serving.StreamingDecoder`.
-        """
-        return self.inference_engine.start_stream(self.startprob, self.transmat, lag=lag)
-
     def stream_batch(self, lags=()):
         """Open a :class:`~repro.hmm.backends.BatchedStreamingSession`.
 
-        Steps many concurrent online streams together, one vectorized
-        ``(B, K, K)`` propagation per tick; per-stream results are
-        bit-identical to :meth:`stream` sessions.  See
-        :class:`repro.serving.StreamPool` for the tokens-in/labels-out
-        multiplexer built on top.
+        The caller feeds emission log-likelihood rows; the session steps
+        its online streams together, one vectorized ``(M, K, K)``
+        propagation per tick.  For the tokens-in/labels-out interfaces see
+        :class:`repro.serving.StreamingDecoder` (one stream) and
+        :class:`repro.serving.StreamPool` (many).
         """
         return self.inference_engine.start_stream_batch(
             self.startprob, self.transmat, lags=lags

@@ -240,7 +240,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
                         if args.lag is None
                         else StreamingDecoder(hmm, lag=args.lag, keep_history=False)
                     )
-                    lag = decoder._session.lag
+                    lag = decoder.lag
                     labels: list[int] = []
                     for obs in seq:
                         step = decoder.push(obs)

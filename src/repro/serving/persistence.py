@@ -30,9 +30,8 @@ Schema history
   ``np.load(mmap_mode="r")``, so N serving worker processes loading the
   same artifact share one set of read-only page-cache pages instead of
   holding N private heap copies.  v1/v2 artifacts still load (a ``mmap``
-  request on a compressed ``.npz`` silently falls back to a private copy),
-  and ``save_artifact(..., schema_version=2)`` keeps writing the old
-  layout for mixed-version stores.
+  request on a compressed ``.npz`` silently falls back to a private copy);
+  only v3 is written.
 
 All payload and manifest files are written **atomically** — to a temporary
 file in the target directory, flushed, then ``os.replace``-d into place —
@@ -71,11 +70,8 @@ from repro.hmm.model import HMM
 SCHEMA_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
-#: v1/v2 bundled payload file (still read; written by schema_version=2 saves).
+#: v1/v2 bundled payload file (read-only: saves write the v3 layout).
 ARRAYS_NAME = "arrays.npz"
-
-#: schema versions :func:`save_artifact` can still write.
-_WRITABLE_SCHEMAS = (2, 3)
 
 
 def _npy_name(index: int) -> str:
@@ -215,16 +211,13 @@ def save_artifact(
     model: Any,
     path: str | Path,
     metadata: dict | None = None,
-    schema_version: int | None = None,
 ) -> Path:
     """Persist a model (or fitted estimator) as an artifact directory.
 
-    By default this writes the current schema (v3): one raw little-endian
-    ``.npy`` file per parameter array, each with a SHA-256 checksum in the
-    manifest, so the artifact can later be loaded with ``mmap=True`` and
-    shared read-only across worker processes.  ``schema_version=2`` keeps
-    writing the compressed single-``.npz`` layout for stores that must stay
-    readable by pre-v3 tooling.
+    Writes the current schema (v3): one raw little-endian ``.npy`` file per
+    parameter array, each with a SHA-256 checksum in the manifest, so the
+    artifact can later be loaded with ``mmap=True`` and shared read-only
+    across worker processes.
 
     Every file is written atomically (temp file + ``os.replace``), the
     manifest last, so a crash mid-save never leaves a torn artifact that
@@ -239,49 +232,34 @@ def save_artifact(
     metadata:
         Optional JSON-serializable user metadata stored verbatim in the
         manifest (dataset name, training notes, metrics, ...).
-    schema_version:
-        Artifact layout to write: ``3`` (the default) or ``2``.
 
     Returns the artifact directory path.
     """
-    if schema_version is None:
-        schema_version = SCHEMA_VERSION
-    if schema_version not in _WRITABLE_SCHEMAS:
-        raise ValidationError(
-            f"cannot write artifact schema version {schema_version!r}; "
-            f"writable versions: {_WRITABLE_SCHEMAS}"
-        )
     type_name = model_type_name(model)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}
     state = _flatten(model.to_state_dict(), "", arrays)
+    array_files: dict[str, str] = {}
+    checksums: dict[str, str] = {}
+    for index, key in enumerate(sorted(arrays)):
+        filename = _npy_name(index)
+        payload = _as_little_endian(arrays[key])
+        _write_atomic(
+            path / filename,
+            lambda fh, data=payload: np.save(fh, data, allow_pickle=False),
+            "wb",
+        )
+        array_files[key] = filename
+        checksums[filename] = _sha256_file(path / filename)
     manifest: dict[str, Any] = {
-        "schema_version": schema_version,
+        "schema_version": SCHEMA_VERSION,
         "model_type": type_name,
         "metadata": metadata or {},
         "state": state,
+        "arrays": array_files,
+        "checksums": checksums,
     }
-    if schema_version == 2:
-        _write_atomic(
-            path / ARRAYS_NAME, lambda fh: np.savez_compressed(fh, **arrays), "wb"
-        )
-        manifest["checksums"] = {ARRAYS_NAME: _sha256_file(path / ARRAYS_NAME)}
-    else:
-        array_files: dict[str, str] = {}
-        checksums: dict[str, str] = {}
-        for index, key in enumerate(sorted(arrays)):
-            filename = _npy_name(index)
-            payload = _as_little_endian(arrays[key])
-            _write_atomic(
-                path / filename,
-                lambda fh, data=payload: np.save(fh, data, allow_pickle=False),
-                "wb",
-            )
-            array_files[key] = filename
-            checksums[filename] = _sha256_file(path / filename)
-        manifest["arrays"] = array_files
-        manifest["checksums"] = checksums
     text = json.dumps(manifest, indent=2) + "\n"
     _write_atomic(path / MANIFEST_NAME, lambda fh: fh.write(text), "w")
     return path
@@ -385,13 +363,10 @@ def load_artifact(path: str | Path, mmap: bool = False) -> Any:
 
 
 def save_model(
-    model: Any,
-    path: str | Path,
-    metadata: dict | None = None,
-    schema_version: int | None = None,
+    model: Any, path: str | Path, metadata: dict | None = None
 ) -> Path:
     """Alias of :func:`save_artifact` (symmetric with :func:`load_model`)."""
-    return save_artifact(model, path, metadata=metadata, schema_version=schema_version)
+    return save_artifact(model, path, metadata=metadata)
 
 
 def load_model(path: str | Path, mmap: bool = False) -> Any:

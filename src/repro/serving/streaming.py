@@ -1,26 +1,22 @@
-"""Online (token-at-a-time) tagging on top of the streaming engine sessions.
+"""Online (token-at-a-time) tagging on top of the streaming engine session.
 
-:class:`StreamingDecoder` is the tokens-in/labels-out face of
-:class:`repro.hmm.backends.StreamingSession`: it scores each arriving raw
-observation under the model's emission family and feeds the resulting
-log-likelihood row to the session, surfacing per-token filtering posteriors
-and fixed-lag Viterbi labels.  This is the scenario the batch engine cannot
-serve — tagging a sequence *while it is still arriving* — at an ``O(K^2)``
-cost per token.
-
-:class:`StreamPool` is the high-fanout counterpart: it multiplexes many
-client streams onto one
-:class:`~repro.hmm.backends.BatchedStreamingSession`, so a tick over M
+Every online stream runs on one kernel,
+:class:`~repro.hmm.backends.BatchedStreamingSession`.  :class:`StreamPool`
+multiplexes many client streams onto one session, so a tick over M
 concurrent streams costs one vectorized emission-scoring call plus one
-batched ``(M, K, K)`` propagation instead of M separate decoder steps —
-while every stream's output stays bit-identical to a dedicated
-:class:`StreamingDecoder`.
+batched ``(M, K, K)`` propagation instead of M separate steps.
+:class:`StreamingDecoder` is the single-stream face: a
+:class:`PooledStream` over a private one-slot pool that scores each
+arriving raw observation under the model's emission family and surfaces
+per-token filtering posteriors and fixed-lag Viterbi labels.  This is the
+scenario the batch engine cannot serve — tagging a sequence *while it is
+still arriving* — at an ``O(K^2)`` cost per token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, cast
 
 import numpy as np
 
@@ -60,7 +56,7 @@ class StreamResult:
 
 @dataclass
 class _StreamState:
-    """Per-stream history shared by :class:`StreamingDecoder` and pool streams."""
+    """Per-stream history shared by pool and service streams."""
 
     keep_history: bool = True
     steps: list[StreamStep] = field(default_factory=list)
@@ -99,139 +95,19 @@ class _StreamState:
         )
 
 
-class StreamingDecoder:
-    """Incremental tagger over one online observation sequence.
-
-    Parameters
-    ----------
-    model:
-        An :class:`~repro.hmm.model.HMM` or a fitted estimator wrapper
-        (``DiversifiedHMM``, ``SupervisedDiversifiedHMM``, the supervised
-        classifiers).
-    lag:
-        Fixed lag of the sliding Viterbi window: the label of token ``t``
-        is finalized once token ``t + lag`` has arrived (larger lag = more
-        context = closer to full-sequence Viterbi; ``lag >= T`` reproduces
-        it exactly).  Defaults to the process-wide
-        :class:`~repro.core.config.ServingConfig` value; pass ``None``
-        explicitly to defer all labels to :meth:`finish`.
-    keep_history:
-        When True (default), every step and finalized label is retained so
-        :meth:`finish` can assemble the complete :class:`StreamResult`.
-        For unbounded streams (the memory would grow ``O(T * K)``) pass
-        False: :meth:`push` still returns each step and its finalized
-        labels to the caller, only the fixed-lag window is kept, and
-        :meth:`finish` reports just the final window's labels.
-
-    Examples
-    --------
-    >>> decoder = StreamingDecoder(model, lag=8)        # doctest: +SKIP
-    >>> for token in incoming_tokens:                   # doctest: +SKIP
-    ...     step = decoder.push(token)
-    ...     print(step.filtering, step.finalized)
-    >>> result = decoder.finish()                       # doctest: +SKIP
-    """
-
-    _UNSET = _UNSET  # kept as a class attribute for backward compatibility
-
-    def __init__(
-        self,
-        model: Any,
-        lag: int | None | object = _UNSET,
-        keep_history: bool = True,
-    ) -> None:
-        hmm = resolve_hmm(model)
-        if lag is _UNSET:
-            lag = get_serving_config().streaming_lag
-        self._emissions = hmm.emissions
-        self._session = hmm.stream(lag=lag)
-        self._state = _StreamState(keep_history=keep_history)
-
-    @property
-    def n_tokens(self) -> int:
-        """Number of observations consumed so far."""
-        return self._session.t + 1
-
-    @property
-    def finalized_labels(self) -> list[int]:
-        """Labels finalized so far, in token order (prefix of the path)."""
-        labels = self._state.labels
-        return [labels[t] for t in range(len(labels))]
-
-    def push(self, observation: Any) -> StreamStep:
-        """Consume one observation; returns the per-token stream step.
-
-        The observation is a single timestep in the emission family's
-        format: an int symbol (categorical), a float (Gaussian) or a binary
-        feature vector (Bernoulli).
-        """
-        obs = np.asarray(observation)
-        log_obs = self._emissions.log_likelihoods(obs[None, ...])
-        step = self._session.step(log_obs[0])
-        self._state.record(step)
-        return step
-
-    def push_many(self, observations: Iterable[Any]) -> list[StreamStep]:
-        """Consume several observations; returns one step per token."""
-        return [self.push(obs) for obs in observations]
-
-    def decode_tail(self) -> np.ndarray:
-        """Current best labels of the not-yet-finalized tail, without closing.
-
-        The streaming analogue of the chunked decoder's window flush
-        (:func:`repro.hmm.longseq.chunked_viterbi` emits each window's tail
-        once the next window's overlap confirms it): the labels
-        :meth:`finish` would emit *right now*, backtracked from the current
-        best state, with the stream left open.  ``finalized_labels`` +
-        ``decode_tail()`` is the full best path so far; the tail labels are
-        provisional and may be revised by further :meth:`push` calls.
-        """
-        pairs = self._session.peek_tail()
-        return np.array([state for _, state in pairs], dtype=np.int64)
-
-    def finish(self) -> StreamResult:
-        """Flush the remaining Viterbi window and assemble the result.
-
-        With ``keep_history=True`` the result covers the whole stream; with
-        ``keep_history=False`` it covers only the final window (everything
-        earlier was already handed out via ``push(...).finalized``).
-        """
-        if self._state.last_step is None:
-            raise ValidationError("cannot finish a stream with no observations")
-        return self._state.assemble(self._session.finish())
-
-
-def stream_decode(
-    model: Any, sequence: np.ndarray, lag: int | None | object = _UNSET
-) -> StreamResult:
-    """One-shot helper: stream a whole sequence through a fresh decoder.
-
-    Mostly useful for testing fixed-lag behaviour against batch decoding;
-    online callers should drive :class:`StreamingDecoder` directly.  With
-    ``lag`` omitted the decoder follows ``ServingConfig.streaming_lag``
-    (the sentinel is forwarded as-is, so the default here and on
-    :class:`StreamingDecoder` cannot drift apart); pass ``lag=None``
-    explicitly for infinite lag.
-    """
-    decoder = StreamingDecoder(model, lag=lag)
-    decoder.push_many(sequence)
-    return decoder.finish()
-
-
-# ------------------------------------------------------------------ #
-# Pooled (batched) streaming
-# ------------------------------------------------------------------ #
 class PooledStream:
     """Client handle for one stream multiplexed through a :class:`StreamPool`.
 
-    Mirrors the :class:`StreamingDecoder` surface (``push``/``finish``,
-    ``n_tokens``, ``finalized_labels``); the underlying recursions run
-    batched with the pool's other streams.
+    The underlying recursions run batched with the pool's other streams.
+    ``lag`` is the stream's fixed Viterbi lag (``None``: infinite).
     """
 
-    def __init__(self, pool: "StreamPool", slot: int, keep_history: bool) -> None:
+    def __init__(
+        self, pool: "StreamPool", lag: int | None, keep_history: bool
+    ) -> None:
         self._pool = pool
-        self._slot = slot
+        self._slot = pool._session.add_stream(lag=lag)
+        self.lag = lag
         self._state = _StreamState(keep_history=keep_history)
         self._finished = False
         self._n_pushed = 0
@@ -248,7 +124,12 @@ class PooledStream:
         return [labels[t] for t in range(len(labels))]
 
     def push(self, observation: Any) -> StreamStep:
-        """Consume one observation (a one-stream tick through the pool)."""
+        """Consume one observation; returns the per-token stream step.
+
+        The observation is a single timestep in the emission family's
+        format: an int symbol (categorical), a float (Gaussian) or a binary
+        feature vector (Bernoulli).  It advances as a one-stream tick.
+        """
         return self._pool.push_tick([(self, observation)])[0]
 
     def push_wave(self, observations: Sequence[Any]) -> list[StreamStep]:
@@ -275,10 +156,16 @@ class PooledStream:
         return steps
 
     def decode_tail(self) -> np.ndarray:
-        """Provisional tail labels without closing the stream.
+        """Current best labels of the not-yet-finalized tail, without closing.
 
-        Same contract as :meth:`StreamingDecoder.decode_tail`, backed by
-        the pool's batched session.
+        The streaming analogue of the chunked decoder's window flush
+        (:func:`repro.hmm.longseq.chunked_viterbi` emits each window's tail
+        once the next window's overlap confirms it): the labels
+        :meth:`finish` would emit *right now*, backtracked from the current
+        best state, with the stream left open.  ``finalized_labels`` +
+        ``decode_tail()`` is the full best path so far; the tail labels are
+        provisional and may be revised by further :meth:`push` calls.  A
+        finished stream has no tail.
         """
         if self._finished:
             return np.array([], dtype=np.int64)
@@ -286,7 +173,13 @@ class PooledStream:
         return np.array([state for _, state in pairs], dtype=np.int64)
 
     def finish(self) -> StreamResult:
-        """Flush the remaining window, free the pool slot, assemble the result."""
+        """Flush the remaining window, free the pool slot, assemble the result.
+
+        With ``keep_history=True`` the result covers the whole stream; with
+        ``keep_history=False`` it covers only the final window (everything
+        earlier was already handed out via ``push(...).finalized``).  A
+        stream finishes once: a second call raises.
+        """
         if self._finished:
             raise ValidationError("stream already finished")
         if self._state.last_step is None:
@@ -331,7 +224,7 @@ class StreamPool:
         if lag is _UNSET:
             lag = get_serving_config().streaming_lag
         self._emissions = hmm.emissions
-        self._default_lag = lag
+        self._default_lag = cast("int | None", lag)
         self._default_keep_history = keep_history
         self._session = hmm.stream_batch()
 
@@ -350,8 +243,7 @@ class StreamPool:
             lag = self._default_lag
         if keep_history is None:
             keep_history = self._default_keep_history
-        slot = self._session.add_stream(lag=lag)
-        return PooledStream(self, slot, keep_history=keep_history)
+        return PooledStream(self, cast("int | None", lag), keep_history)
 
     def push_tick(
         self, items: Sequence[tuple[PooledStream, Any]]
@@ -372,7 +264,7 @@ class StreamPool:
         # One emission call scores all M observations at once: a stack of
         # single timesteps is just an M-step sequence to the emission
         # family, and per-row scoring is identical to scoring one by one.
-        stacked = np.stack([np.asarray(obs) for _, obs in items])
+        stacked = np.array([obs for _, obs in items])
         log_rows = self._emissions.log_likelihoods(stacked)
         steps = self._session.step_many(log_rows, [s._slot for s, _ in items])
         for (stream, _), step in zip(items, steps):
@@ -382,3 +274,70 @@ class StreamPool:
 
     def _finish_slot(self, slot: int) -> list[tuple[int, int]]:  # repro: confined[caller]
         return self._session.finish(slot)
+
+
+class StreamingDecoder(PooledStream):
+    """Incremental tagger over one online observation sequence.
+
+    A :class:`PooledStream` over a private one-slot :class:`StreamPool`:
+    every push is a one-stream tick of the shared streaming kernel.
+
+    Parameters
+    ----------
+    model:
+        An :class:`~repro.hmm.model.HMM` or a fitted estimator wrapper
+        (``DiversifiedHMM``, ``SupervisedDiversifiedHMM``, the supervised
+        classifiers).
+    lag:
+        Fixed lag of the sliding Viterbi window: the label of token ``t``
+        is finalized once token ``t + lag`` has arrived (larger lag = more
+        context = closer to full-sequence Viterbi; ``lag >= T`` reproduces
+        it exactly).  Defaults to the process-wide
+        :class:`~repro.core.config.ServingConfig` value; pass ``None``
+        explicitly to defer all labels to :meth:`finish`.
+    keep_history:
+        When True (default), every step and finalized label is retained so
+        :meth:`finish` can assemble the complete :class:`StreamResult`.
+        For unbounded streams (the memory would grow ``O(T * K)``) pass
+        False: :meth:`push` still returns each step and its finalized
+        labels to the caller, only the fixed-lag window is kept, and
+        :meth:`finish` reports just the final window's labels.
+
+    Examples
+    --------
+    >>> decoder = StreamingDecoder(model, lag=8)        # doctest: +SKIP
+    >>> for token in incoming_tokens:                   # doctest: +SKIP
+    ...     step = decoder.push(token)
+    ...     print(step.filtering, step.finalized)
+    >>> result = decoder.finish()                       # doctest: +SKIP
+    """
+
+    def __init__(
+        self,
+        model: Any,
+        lag: int | None | object = _UNSET,
+        keep_history: bool = True,
+    ) -> None:
+        pool = StreamPool(model, lag=lag)
+        super().__init__(pool, pool._default_lag, keep_history)
+
+    def push_many(self, observations: Iterable[Any]) -> list[StreamStep]:
+        """Consume several observations; returns one step per token."""
+        return [self.push(obs) for obs in observations]
+
+
+def stream_decode(
+    model: Any, sequence: np.ndarray, lag: int | None | object = _UNSET
+) -> StreamResult:
+    """One-shot helper: stream a whole sequence through a fresh decoder.
+
+    Mostly useful for testing fixed-lag behaviour against batch decoding;
+    online callers should drive :class:`StreamingDecoder` directly.  With
+    ``lag`` omitted the decoder follows ``ServingConfig.streaming_lag``
+    (the sentinel is forwarded as-is, so the default here and on
+    :class:`StreamingDecoder` cannot drift apart); pass ``lag=None``
+    explicitly for infinite lag.
+    """
+    decoder = StreamingDecoder(model, lag=lag)
+    decoder.push_many(sequence)
+    return decoder.finish()

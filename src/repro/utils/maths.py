@@ -11,7 +11,9 @@ LOG_EPS = 1e-300
 def safe_log(x: np.ndarray | float) -> np.ndarray:
     """Elementwise log that maps zeros to ``log(LOG_EPS)`` instead of ``-inf``."""
     arr = np.asarray(x, dtype=np.float64)
-    return np.log(np.clip(arr, LOG_EPS, None))
+    # np.clip(arr, LOG_EPS, None) computes exactly this, through a slower
+    # Python wrapper; per-token streaming scores call safe_log every push.
+    return np.log(np.maximum(arr, LOG_EPS))
 
 
 def logsumexp(values: np.ndarray, axis: int | None = None) -> np.ndarray:

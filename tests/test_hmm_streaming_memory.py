@@ -32,19 +32,19 @@ def model():
 class TestSessionBufferBounds:
     def test_single_session_buffer_flat_over_100k_steps(self, model):
         lag = 16
-        session = model.stream(lag=lag)
+        session = model.stream_batch(lags=[lag])
         rng = np.random.default_rng(0)
         table = model.emissions.log_likelihoods(
             rng.integers(0, model.emissions.n_symbols, size=100_000)
         )
         max_bp = 0
         for t in range(table.shape[0]):
-            session.step(table[t])
-            max_bp = max(max_bp, len(session._bp))
+            session.step(0, table[t])
+            max_bp = max(max_bp, len(session._slot(0).bp))
         # backpointer window never exceeds the lag: O(lag), not O(T)
         assert max_bp <= lag
-        session.finish()
-        assert len(session._bp) == 0
+        session.finish(0)
+        assert len(session._slot(0).bp) == 0
 
     def test_batched_session_slots_stay_bounded(self, model):
         lags = (8, 32)
@@ -70,24 +70,24 @@ class TestSessionBufferBounds:
             decoder.push(int(tok))
         assert decoder._state.steps == [] or not decoder._state.keep_history
         assert sys.getsizeof(decoder._state.steps) < 10_000
-        assert len(decoder._session._bp) <= 16
+        assert len(decoder._pool._session._slot(decoder._slot).bp) <= 16
 
     def test_flat_buffer_regression_pinned_numbers(self, model):
         # Regression pin: the backpointer deque for lag L holds exactly
         # min(t, L) columns after t steps (pre-fix it grew without bound
         # when finalization lagged behind the stream).
         lag = 10
-        session = model.stream(lag=lag)
+        session = model.stream_batch(lags=[lag])
         rng = np.random.default_rng(3)
         table = model.emissions.log_likelihoods(
             rng.integers(0, model.emissions.n_symbols, size=50)
         )
         for t in range(table.shape[0]):
-            session.step(table[t])
+            session.step(0, table[t])
             # steady state oscillates between lag-1 (just trimmed) and lag
-            assert len(session._bp) <= min(t, lag)
+            assert len(session._slot(0).bp) <= min(t, lag)
             if t >= lag:
-                assert len(session._bp) >= lag - 1
+                assert len(session._slot(0).bp) >= lag - 1
 
 
 class TestTailFlush:

@@ -1,5 +1,6 @@
 """Artifact schema v3: raw ``.npy`` payloads, mmap sharing, mixed-schema stores."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -49,6 +50,26 @@ def _write_v1_artifact(model, path, model_type="hmm"):
     return path
 
 
+def _write_v2_artifact(model, path, model_type="hmm"):
+    """Replicate the schema-v2 layout: one compressed ``arrays.npz`` payload
+    plus a manifest recording its SHA-256."""
+    path.mkdir(parents=True, exist_ok=True)
+    arrays = {}
+    state = _flatten(model.to_state_dict(), "", arrays)
+    with (path / ARRAYS_NAME).open("wb") as fh:
+        np.savez_compressed(fh, **arrays)
+    digest = hashlib.sha256((path / ARRAYS_NAME).read_bytes()).hexdigest()
+    manifest = {
+        "schema_version": 2,
+        "model_type": model_type,
+        "metadata": {},
+        "state": state,
+        "checksums": {ARRAYS_NAME: digest},
+    }
+    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
+    return path
+
+
 def _memmap_base(array):
     """Walk ``.base`` to the underlying ``np.memmap`` (or None)."""
     node = array
@@ -79,7 +100,7 @@ class TestSchemaV3Layout:
     def test_v2_to_v3_round_trip(self, tmp_path):
         """A v2 artifact re-saved under the current schema loads identically."""
         model = _random_hmm(7)
-        save_artifact(model, tmp_path / "old", schema_version=2)
+        _write_v2_artifact(model, tmp_path / "old")
         upgraded = load_artifact(tmp_path / "old")
         save_artifact(upgraded, tmp_path / "new")
         assert read_manifest(tmp_path / "new")["schema_version"] == 3
@@ -132,7 +153,7 @@ class TestMmapLoading:
 
     def test_mmap_request_on_v2_falls_back_to_private_copy(self, tmp_path):
         model = _random_hmm(4)
-        save_artifact(model, tmp_path / "m", schema_version=2)
+        _write_v2_artifact(model, tmp_path / "m")
         loaded = load_artifact(tmp_path / "m", mmap=True)  # silent fallback
         assert _memmap_base(loaded.emissions.emission_probs) is None
         _, obs = model.sample(12, seed=4)
@@ -193,9 +214,7 @@ class TestMixedSchemaRegistry:
         registry = ModelRegistry(tmp_path / "registry")
         models = [_random_hmm(seed) for seed in (1, 2, 3)]
         _write_v1_artifact(models[0], tmp_path / "registry" / "m" / "v0001")
-        v2_dir = tmp_path / "registry" / "m" / "v0002"
-        v2_dir.mkdir(parents=True)
-        save_artifact(models[1], v2_dir, schema_version=2)
+        _write_v2_artifact(models[1], tmp_path / "registry" / "m" / "v0002")
         registry.save("m", models[2])  # current schema -> v3
         return registry, models
 

@@ -11,6 +11,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.core.config import ServingConfig, set_serving_config
 from repro.serving import ModelRegistry
 from repro.serving.cli import main
 
@@ -103,6 +104,28 @@ class TestTag:
         assert len(batch_lines) == len(stream_lines)
         for b, s in zip(batch_lines, stream_lines):
             assert len(b.split()) == len(s.split())
+        # a lag past every sequence's length streams the exact Viterbi path
+        exact_out = tmp_path / "stream-exact.txt"
+        _run(["tag", "--registry", registry, "--name", "pos-tagger",
+              "--input", sample, "--output", exact_out, "--streaming",
+              "--lag", 100000])
+        assert exact_out.read_bytes() == batch_out.read_bytes()
+
+    def test_streaming_tag_reports_the_decoder_lag(
+        self, fitted_registry, tmp_path, capsys
+    ):
+        """The streaming mode reports the lag its decoders run with, read
+        from the public ``StreamingDecoder.lag`` (the configured default
+        when ``--lag`` is omitted)."""
+        registry, sample = fitted_registry
+        previous = set_serving_config(ServingConfig(streaming_lag=3))
+        try:
+            assert _run(["tag", "--registry", registry, "--name", "pos-tagger",
+                         "--input", sample, "--output", tmp_path / "s.txt",
+                         "--streaming"]) == 0
+        finally:
+            set_serving_config(previous)
+        assert "via streaming (lag=3)" in capsys.readouterr().err
 
     def test_missing_model_fails_cleanly(self, fitted_registry, tmp_path):
         registry, sample = fitted_registry

@@ -141,7 +141,7 @@ class TestStreamingDecoderApi:
         previous = set_serving_config(ServingConfig(streaming_lag=5))
         try:
             decoder = StreamingDecoder(model)
-            assert decoder._session.lag == 5
+            assert decoder.lag == 5
         finally:
             set_serving_config(previous)
 
@@ -180,15 +180,31 @@ class TestStreamingDecoderApi:
 
     def test_step_after_finish_raises(self):
         model = _random_hmm(0)
-        session = model.stream()
-        session.step(model.emissions.log_likelihoods(np.array([0]))[0])
-        session.finish()
+        session = model.stream_batch(lags=[None])
+        session.step(0, model.emissions.log_likelihoods(np.array([0]))[0])
+        session.finish(0)
         with pytest.raises(ValidationError):
-            session.step(model.emissions.log_likelihoods(np.array([0]))[0])
+            session.step(0, model.emissions.log_likelihoods(np.array([0]))[0])
 
     def test_invalid_lag_rejected(self):
         with pytest.raises(ValidationError):
-            _random_hmm(0).stream(lag=0)
+            _random_hmm(0).stream_batch(lags=[0])
+
+    @pytest.mark.parametrize("keep_history", [True, False])
+    def test_second_finish_raises(self, keep_history):
+        """Regression: a second ``finish()`` used to answer again — the same
+        result with history, an empty path without — instead of failing
+        like every other stream handle."""
+        decoder = StreamingDecoder(_random_hmm(0), lag=4, keep_history=keep_history)
+        decoder.push_many([0, 1, 2])
+        assert decoder.finish().path.shape == (3,)  # lag 4: all labels at finish
+        with pytest.raises(ValidationError, match="already finished"):
+            decoder.finish()
+
+    def test_lag_is_a_public_attribute(self):
+        model = _random_hmm(0)
+        assert StreamingDecoder(model, lag=3).lag == 3
+        assert StreamingDecoder(model, lag=None).lag is None
 
     def test_keep_history_false_bounds_retention(self):
         model = _random_hmm(5)
