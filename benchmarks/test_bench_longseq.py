@@ -15,6 +15,16 @@ occurs), and hold a *T-independent* working set: the decode-phase
 tracemalloc peak is gated against the windows-resident budget
 (``group_size x window x K`` floats) plus the O(T) result path itself,
 and the streamed log-likelihood is gated against a flat absolute ceiling.
+
+A second benchmark times the segment-scan likelihood and posteriors
+(``streaming_log_likelihood`` / ``checkpointed_posteriors``) against the
+per-token loops they replaced, kept below as the timing baseline: at K=8,
+T=200K both must be at least ``BENCH_MIN_LONG_SMOOTH_SPEEDUP`` times
+faster; at K=45, above the scan's K crossover where each block runs as the
+serial recursion, at least 0.8 times as fast; and the posteriors' working
+memory beyond the returned gamma stays under the same flat ceiling as the
+streamed likelihood at T=200K and T=1M.
+
 Results are merged into ``BENCH_inference.json``.
 """
 
@@ -29,7 +39,12 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import merge_results, print_header
-from repro.hmm import CompiledCorpus, ScaledBatchedBackend, streaming_log_likelihood
+from repro.hmm import (
+    CompiledCorpus,
+    ScaledBatchedBackend,
+    checkpointed_posteriors,
+    streaming_log_likelihood,
+)
 
 #: Sequence length for the long-decode gate.  The default reproduces the
 #: paper-scale T=1M workload; override to shrink smoke runs.
@@ -47,12 +62,32 @@ MIN_LONG_DECODE_SPEEDUP = float(
     )
 )
 
+#: Acceptance floor for the segment-scan likelihood and posteriors over the
+#: per-token loops at K=8, T=200K (13-24x and 11-16x over ten runs on a
+#: 2-core VM).
+MIN_LONG_SMOOTH_SPEEDUP = float(os.environ.get("BENCH_MIN_LONG_SMOOTH_SPEEDUP", "5.0"))
+
+#: Floor at K=45, above the scan's K crossover: there each block runs as one
+#: segment, the serial recursion, which must cost no more than the old loop.
+MIN_LARGE_K_RATIO = 0.8
+
+#: Flat working-memory ceiling of the streamed likelihood and, beyond the
+#: returned gamma, of the posteriors.
+_STREAM_CEILING_BYTES = 64 * 1024 * 1024
+
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_inference.json"
 
 _WINDOW = 4096
 _OVERLAP = 256
 _GROUP = 64
 _K = 8
+
+
+def _sticky_model(rng, n_states):
+    pi = rng.dirichlet(np.ones(n_states))
+    transmat = 0.8 * np.eye(n_states) + 0.2 * rng.dirichlet(np.ones(n_states), size=n_states)
+    transmat /= transmat.sum(axis=1, keepdims=True)
+    return pi, transmat
 
 
 def _build_workload():
@@ -64,9 +99,7 @@ def _build_workload():
     emission scores, so the timing is identical.
     """
     rng = np.random.default_rng(7)
-    pi = rng.dirichlet(np.ones(_K))
-    transmat = 0.8 * np.eye(_K) + 0.2 * rng.dirichlet(np.ones(_K), size=_K)
-    transmat /= transmat.sum(axis=1, keepdims=True)
+    pi, transmat = _sticky_model(rng, _K)
     table = rng.normal(0.0, 2.0, size=(LONGSEQ_T, _K))
     return pi, transmat, table
 
@@ -76,6 +109,84 @@ def _serial_viterbi(backend, pi, transmat, table):
     long threshold, so nothing routes it through the chunked decoder."""
     corpus = CompiledCorpus([table])
     return backend.viterbi_corpus(pi, transmat, corpus, corpus.extend_scores(table))[0]
+
+
+_TINY = 1e-300
+
+
+def _obs_weights(log_b):
+    shift = np.max(log_b, axis=1)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    return np.exp(log_b - shift[:, None]), shift
+
+
+def _loop_log_likelihood(pi, transmat, table, block=65536):
+    """The per-token forward loop the segment scan replaced (timing baseline)."""
+    length = table.shape[0]
+    alpha = None
+    log_likelihood = 0.0
+    for b0 in range(0, length, block):
+        b1 = min(b0 + block, length)
+        obs, shift = _obs_weights(table[b0:b1])
+        scales = np.empty(b1 - b0)
+        for i in range(b1 - b0):
+            raw = pi * obs[0] if b0 + i == 0 else (alpha @ transmat) * obs[i]
+            scales[i] = max(float(raw.sum()), _TINY)
+            alpha = raw / scales[i]
+        log_likelihood += float(np.log(np.maximum(scales, _TINY)).sum() + shift.sum())
+    return log_likelihood
+
+
+def _loop_posteriors(pi, transmat, table):
+    """The per-token sqrt-checkpointed forward-backward the scan replaced.
+
+    Returns ``(gamma, xi_sum, log_likelihood)``; timing baseline only.
+    """
+    length, n_states = table.shape
+    checkpoint = max(int(np.ceil(np.sqrt(length))), 1)
+    transmat_T = np.ascontiguousarray(transmat.T)
+    starts = list(range(0, length, checkpoint))
+    carries, alpha, log_likelihood = [], None, 0.0
+    for b0 in starts:
+        b1 = min(b0 + checkpoint, length)
+        carries.append(None if alpha is None else alpha.copy())
+        obs, shift = _obs_weights(table[b0:b1])
+        scales = np.empty(b1 - b0)
+        for i in range(b1 - b0):
+            raw = pi * obs[0] if b0 + i == 0 else (alpha @ transmat) * obs[i]
+            scales[i] = max(float(raw.sum()), _TINY)
+            alpha = raw / scales[i]
+        log_likelihood += float(np.log(np.maximum(scales, _TINY)).sum() + shift.sum())
+    gamma = np.empty((length, n_states))
+    xi_sum = np.zeros((n_states, n_states))
+    w_carry = None
+    for j in range(len(starts) - 1, -1, -1):
+        b0 = starts[j]
+        b1 = min(b0 + checkpoint, length)
+        n_rows = b1 - b0
+        obs, _ = _obs_weights(table[b0:b1])
+        alpha_hat = np.empty((n_rows, n_states))
+        scales = np.empty(n_rows)
+        alpha = carries[j]
+        for i in range(n_rows):
+            raw = pi * obs[0] if b0 + i == 0 else (alpha @ transmat) * obs[i]
+            scales[i] = max(float(raw.sum()), _TINY)
+            alpha = raw / scales[i]
+            alpha_hat[i] = alpha
+        beta_hat = np.empty((n_rows, n_states))
+        beta_hat[n_rows - 1] = 1.0 if b1 == length else w_carry @ transmat_T
+        for i in range(n_rows - 2, -1, -1):
+            beta_hat[i] = (obs[i + 1] * beta_hat[i + 1] / scales[i + 1]) @ transmat_T
+        block_gamma = alpha_hat * beta_hat
+        block_gamma /= np.maximum(block_gamma.sum(axis=1, keepdims=True), _TINY)
+        gamma[b0:b1] = block_gamma
+        xi_weight = obs * beta_hat / scales[:, None]
+        if n_rows > 1:
+            xi_sum += transmat * (alpha_hat[:-1].T @ xi_weight[1:])
+        if b0 > 0:
+            xi_sum += transmat * np.outer(carries[j], xi_weight[0])
+        w_carry = xi_weight[0]
+    return gamma, xi_sum, log_likelihood
 
 
 def test_long_sequence_decode(benchmark):
@@ -123,17 +234,17 @@ def test_long_sequence_decode(benchmark):
     assert decode_peak <= 6 * windows_budget + 3 * path_bytes
 
     # Streamed log-likelihood holds only block-sized buffers: a flat
-    # absolute ceiling regardless of T.  The forward recursion is
-    # inherently one Python step per timestep, so the gate runs on a
-    # 200k-token slice — the ceiling is length-independent either way.
-    ll_t = min(LONGSEQ_T, 200_000)
+    # absolute ceiling regardless of T.  The segment scan takes about
+    # 3 sqrt(block) Python steps per block, so the gate runs on the whole
+    # sequence.
+    ll_t = LONGSEQ_T
     tracemalloc.start()
     start = time.perf_counter()
     stream_ll = streaming_log_likelihood(pi, transmat, table[:ll_t])
     ll_seconds = time.perf_counter() - start
     _, ll_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert ll_peak <= 64 * 1024 * 1024
+    assert ll_peak <= _STREAM_CEILING_BYTES
 
     results = {
         "long_sequence": {
@@ -191,3 +302,114 @@ def test_long_sequence_decode(benchmark):
     )
 
     assert speedup >= MIN_LONG_DECODE_SPEEDUP
+
+
+def _timed(fn):
+    """Wall time of one call, and its result."""
+    start = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - start, result
+
+
+def _paired_seconds(baseline, scan, repeats):
+    """Best-of-``repeats`` wall time of each side, the two alternating."""
+    pairs = [(_timed(baseline)[0], _timed(scan)[0]) for _ in range(repeats)]
+    return min(p[0] for p in pairs), min(p[1] for p in pairs)
+
+
+def _posterior_peak(pi, transmat, table):
+    """Traced peak of one posteriors call, and its gamma's size."""
+    tracemalloc.start()
+    post = checkpointed_posteriors(pi, transmat, table)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak, post.gamma.nbytes
+
+
+def test_long_sequence_smoothing(benchmark):
+    rng = np.random.default_rng(11)
+    pi, transmat, table = _build_workload()
+    smooth_t = min(LONGSEQ_T, 200_000)
+    head = table[:smooth_t]
+
+    # Warm both sides on a short prefix first.
+    _loop_log_likelihood(pi, transmat, head[:8192])
+    streaming_log_likelihood(pi, transmat, head[:8192])
+    checkpointed_posteriors(pi, transmat, head[:8192])
+
+    # One run of each loop: they take seconds, and their results double as
+    # a cross-check that the timing compares like with like.
+    ll_loop, ll_ref = _timed(lambda: _loop_log_likelihood(pi, transmat, head))
+    ll_scan, ll_got = _timed(lambda: streaming_log_likelihood(pi, transmat, head))
+    post_loop, (gamma_ref, xi_ref, post_ll_ref) = _timed(
+        lambda: _loop_posteriors(pi, transmat, head)
+    )
+    post_scan, post = _timed(lambda: checkpointed_posteriors(pi, transmat, head))
+    ll_speedup = ll_loop / ll_scan
+    post_speedup = post_loop / post_scan
+    assert ll_got == pytest.approx(ll_ref, rel=1e-9)
+    assert post.log_likelihood == pytest.approx(post_ll_ref, rel=1e-9)
+    assert np.allclose(post.gamma, gamma_ref, atol=1e-8)
+    assert np.allclose(post.xi_sum, xi_ref, rtol=1e-8, atol=1e-6)
+
+    # Above the K crossover: one segment per block, the serial recursion.
+    k_large, t_large = 45, 10_000
+    pi_l, transmat_l = _sticky_model(rng, k_large)
+    table_l = rng.normal(0.0, 2.0, size=(t_large, k_large))
+    large = {}
+    for name, loop_fn, scan_fn in (
+        ("log_likelihood", _loop_log_likelihood, streaming_log_likelihood),
+        ("posteriors", _loop_posteriors, checkpointed_posteriors),
+    ):
+        loop_s, scan_s = _paired_seconds(
+            lambda: loop_fn(pi_l, transmat_l, table_l),
+            lambda: scan_fn(pi_l, transmat_l, table_l),
+            repeats=5,
+        )
+        large[name] = loop_s / scan_s
+
+    # Working memory beyond the returned gamma is a few blocks, whatever T.
+    peaks = {}
+    for t in sorted({smooth_t, LONGSEQ_T}):
+        peak, gamma_bytes = _posterior_peak(pi, transmat, table[:t])
+        peaks[t] = {"peak_bytes": peak, "gamma_bytes": gamma_bytes}
+        assert peak - gamma_bytes <= _STREAM_CEILING_BYTES
+
+    merge_results(
+        _RESULT_PATH,
+        {
+            "long_smoothing": {
+                "workload": {"T": smooth_t, "n_states": _K},
+                "seconds": {
+                    "log_likelihood": {"loop": ll_loop, "scan": ll_scan},
+                    "posteriors": {"loop": post_loop, "scan": post_scan},
+                },
+                "speedup": {"log_likelihood": ll_speedup, "posteriors": post_speedup},
+                "large_k": {"n_states": k_large, "T": t_large, "ratio": large},
+                "posterior_memory": {str(t): v for t, v in peaks.items()},
+            }
+        },
+    )
+
+    print_header("Long-sequence likelihood and posteriors - segment scan vs per-token loop")
+    print(f"T={smooth_t:,}  K={_K}")
+    print(f"likelihood : loop {ll_loop:6.2f} s | scan {ll_scan:6.3f} s | {ll_speedup:5.1f}x")
+    print(f"posteriors : loop {post_loop:6.2f} s | scan {post_scan:6.3f} s | {post_speedup:5.1f}x")
+    print(f"K={k_large}, T={t_large:,} (serial recursion): likelihood "
+          f"{large['log_likelihood']:.2f}x | posteriors {large['posteriors']:.2f}x")
+    for t, v in peaks.items():
+        print(f"posteriors at T={t:,}: peak {v['peak_bytes'] / 1e6:6.1f} MB "
+              f"(gamma {v['gamma_bytes'] / 1e6:.1f} MB)")
+    print(f"results merged into {_RESULT_PATH.name}")
+
+    benchmark.extra_info.update(
+        long_loglik_speedup=ll_speedup, long_posteriors_speedup=post_speedup
+    )
+    benchmark.pedantic(
+        lambda: checkpointed_posteriors(pi, transmat, head), rounds=1, iterations=1
+    )
+
+    assert ll_speedup >= MIN_LONG_SMOOTH_SPEEDUP
+    assert post_speedup >= MIN_LONG_SMOOTH_SPEEDUP
+    assert large["log_likelihood"] >= MIN_LARGE_K_RATIO
+    assert large["posteriors"] >= MIN_LARGE_K_RATIO

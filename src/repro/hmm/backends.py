@@ -17,7 +17,7 @@ one long sequence.  Two backends are provided:
   domain (its recursion is max-only, so no scaling is needed) through a
   fused kernel that is bit-identical to the reference — see
   :meth:`_viterbi_bucket`.  Long sequences (the corpus' ``long_windows``)
-  take the chunked and checkpointed kernels of :mod:`repro.hmm.longseq`.
+  take the chunked Viterbi and segment-scan kernels of :mod:`repro.hmm.longseq`.
 * :class:`LogDomainBackend` — the original per-sequence log-space
   recursions, looped over the corpus one sequence at a time and kept as a
   bit-identical reference so equivalence of the scaled engine is testable
@@ -427,9 +427,9 @@ class ScaledBatchedBackend(InferenceBackend):
             if xi_seq is not None:
                 xi_seq[bucket.idx] = xi_rows
         for lw in corpus.long_windows:
-            # Long sequences bypass the padded buckets: sqrt-checkpointed
-            # forward-backward over a view of the corpus score table keeps
-            # the working set O(sqrt(T) * K) per sequence.
+            # Long sequences bypass the padded buckets: the block-wise
+            # segment scan over a view of the corpus score table keeps the
+            # working set at a few blocks per sequence, whatever T is.
             r = checkpointed_posteriors(
                 startprob,
                 transmat,
@@ -515,7 +515,7 @@ class ScaledBatchedBackend(InferenceBackend):
         ):
             lls[bucket.idx] = bucket_lls
         for lw in corpus.long_windows:
-            # Forward-only streamed scoring: O(K) state per long sequence.
+            # Forward-only segment scan: one block of memory per long sequence.
             lls[lw.seq_index] = streaming_log_likelihood(
                 startprob,
                 transmat,

@@ -164,7 +164,7 @@ class InferenceEngine:
 
         Each result carries the sequence's own ``xi_sum``.  On the scaled
         backend, sequences longer than ``InferenceConfig.long_threshold``
-        take the sqrt-checkpointed recursion (bounded working memory) and
+        take the block-wise segment scan (bounded working memory) and
         the rest go through padded buckets; the ``log`` reference runs
         every sequence whole.
         """
@@ -261,11 +261,15 @@ class InferenceEngine:
         source,
         checkpoint: int | None = None,
     ) -> SequencePosteriors:
-        """Exact posteriors of one long sequence with O(sqrt(T) * K) working memory.
+        """Exact posteriors of one long sequence by segment-parallel scan.
 
-        Backend-independent: the sqrt-checkpointed recursion
-        (:func:`repro.hmm.longseq.checkpointed_posteriors`) matches the
-        batched backends to floating-point reassociation (1e-8 tested).
+        Backend-independent: :func:`repro.hmm.longseq.checkpointed_posteriors`
+        scans blocks of ``checkpoint`` rows (default 65 536 at K = 8, fewer
+        at larger K) in about ``3 sqrt(block)`` Python steps each, holding a
+        few blocks beyond the returned gamma whatever T is.  It matches the
+        batched backends to floating-point reassociation (1e-8 tested); a
+        forward message that vanishes is repaired with the log-domain
+        reference.
         """
         p = self._cached(startprob, transmat)
         return checkpointed_posteriors(
@@ -278,7 +282,13 @@ class InferenceEngine:
         transmat: np.ndarray,
         source,
     ) -> float:
-        """Log marginal likelihood of one long sequence, streamed in O(K) state."""
+        """Log marginal likelihood of one long sequence by segment-parallel scan.
+
+        :func:`repro.hmm.longseq.streaming_log_likelihood` scans one fetched
+        block at a time from the running forward message, so memory is one
+        block whatever T is; a vanished message restarts the sweep in the
+        log domain.
+        """
         p = self._cached(startprob, transmat)
         return streaming_log_likelihood(p.startprob, p.transmat, source)
 

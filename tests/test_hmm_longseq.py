@@ -7,8 +7,10 @@ backends, the engine (automatic long-sequence routing), the compiled corpus
 * chunked Viterbi equals full-sequence Viterbi exactly whenever every
   window join stitched at an agreement run (and stays >= 99.9% token
   agreement otherwise);
-* ``checkpointed_posteriors`` matches the log-domain reference to 1e-8 at
-  every checkpoint stride;
+* ``checkpointed_posteriors`` and ``streaming_log_likelihood`` (the
+  segment scan) match the log-domain reference to 1e-8 at every length,
+  block stride and state count around the scan's edges, and repair a
+  vanished forward message with that reference;
 * adversarial models exercise the posterior-argmax fallback and the
   overlap-widening escape hatch.
 """
@@ -37,6 +39,7 @@ from repro.hmm import (
     streaming_log_likelihood,
     viterbi_decode_from_log,
 )
+from repro.hmm import longseq
 from repro.hmm.baum_welch import BaumWelchTrainer
 from repro.hmm.corpus import CompiledCorpus
 from repro.hmm.engine import InferenceEngine
@@ -271,53 +274,145 @@ class TestAdversarialStitching:
 # ------------------------------------------------------------------ #
 # Checkpointed posteriors / streamed likelihood
 # ------------------------------------------------------------------ #
+#: State counts on both sides of the scan's K crossover: above it every
+#: block runs as one segment (the serial recursion).
+SCAN_STATES = [4, longseq._SCAN_MAX_STATES + 3]
+
+#: Lengths straddling segment edges.  A single block of T rows has n = T - 1
+#: transition rows in segments of S = ceil(sqrt(n)) rows, the last possibly
+#: short: T = 1 has none; T = 2 and 3 are one segment (the serial path);
+#: T = 4 is segments of 2 + 1 rows; T = 11, 12, 13 end in a last segment of
+#: S - 2, S - 1 and S rows (S = 4); T = 144, 145, 146 are n = S^2 - 1, S^2
+#: and S^2 + 1 for S = 12 (the last makes S = 13 with a 2-row tail); 1009
+#: is prime.
+EDGE_LENGTHS = [1, 2, 3, 4, 11, 12, 13, 144, 145, 146, 1009]
+
+
+def scan_model(rng, n_states, zeros):
+    """A sticky random model; with ``zeros``, exact zeros off the diagonal."""
+    pi, transmat = random_model(rng, n_states, self_weight=0.5)
+    if zeros:
+        mask = rng.random((n_states, n_states)) < 0.4
+        np.fill_diagonal(mask, False)
+        transmat[mask] = 0.0
+        transmat /= transmat.sum(axis=1, keepdims=True)
+    return pi, transmat
+
+
+def emission_case(rng, n_states, length, zeros):
+    """Model, categorical emissions and a sequence, with its (T, K) table."""
+    pi, transmat = scan_model(rng, n_states, zeros)
+    emissions = CategoricalEmission(rng.dirichlet(np.ones(6), size=n_states))
+    seq = rng.integers(0, 6, size=length)
+    return pi, transmat, emissions, seq, emissions.log_likelihoods(seq)
+
+
+def assert_matches_reference(got, pi, transmat, table, case):
+    ref = compute_posteriors_from_log(safe_log(pi), safe_log(transmat), table)
+    assert np.allclose(got.gamma, ref.gamma, atol=1e-8), case
+    assert np.allclose(got.xi_sum, ref.xi_sum, atol=1e-8), case
+    assert got.log_likelihood == pytest.approx(ref.log_likelihood, abs=1e-8), case
+
+
 class TestCheckpointedPosteriors:
     def test_property_matches_reference(self):
         rng = np.random.default_rng(17)
-        for trial in range(8):
-            n_states = int(rng.integers(2, 7))
-            pi, transmat = random_model(rng, n_states, self_weight=0.5)
-            length = int(rng.integers(2, 4000))
-            table = rng.normal(0.0, 2.0, size=(length, n_states))
-            ref = compute_posteriors_from_log(
-                safe_log(pi), safe_log(transmat), table
-            )
-            got = checkpointed_posteriors(pi, transmat, table)
-            assert np.allclose(got.gamma, ref.gamma, atol=1e-8)
-            assert np.allclose(got.xi_sum, ref.xi_sum, atol=1e-8)
-            assert got.log_likelihood == pytest.approx(
-                ref.log_likelihood, abs=1e-8, rel=1e-10
-            )
+        for n_states in SCAN_STATES:
+            for length in EDGE_LENGTHS:
+                for zeros in (False, True):
+                    pi, transmat = scan_model(rng, n_states, zeros)
+                    table = rng.normal(0.0, 2.0, size=(length, n_states))
+                    got = checkpointed_posteriors(pi, transmat, table)
+                    case = f"K={n_states} T={length} zeros={zeros}"
+                    assert_matches_reference(got, pi, transmat, table, case)
 
-    @pytest.mark.parametrize("checkpoint", [1, 7, 64, 10_000])
+    @pytest.mark.parametrize("checkpoint", [1, 2, 7, 23, 64, 145, 10_000])
     def test_checkpoint_stride_is_invisible(self, checkpoint):
+        # T = 517 scans as one block in segments of 23 rows; smaller strides
+        # cut it into blocks shorter than that segment or not a multiple of it.
         rng = np.random.default_rng(23)
-        pi, transmat = random_model(rng, 5, self_weight=0.6)
-        table = rng.normal(size=(517, 5))
-        ref = compute_posteriors_from_log(safe_log(pi), safe_log(transmat), table)
-        got = checkpointed_posteriors(pi, transmat, table, checkpoint=checkpoint)
+        for n_states in SCAN_STATES:
+            for zeros in (False, True):
+                pi, transmat, emissions, seq, table = emission_case(
+                    rng, n_states, 517, zeros
+                )
+                for source in (table, EmissionSource(emissions, seq)):
+                    got = checkpointed_posteriors(
+                        pi, transmat, source, checkpoint=checkpoint
+                    )
+                    case = f"K={n_states} zeros={zeros} {type(source).__name__}"
+                    assert_matches_reference(got, pi, transmat, table, case)
+
+    def test_streaming_log_likelihood_matches(self):
+        rng = np.random.default_rng(29)
+        for n_states in SCAN_STATES:
+            for zeros in (False, True):
+                pi, transmat, emissions, seq, table = emission_case(
+                    rng, n_states, 1234, zeros
+                )
+                ref = compute_posteriors_from_log(
+                    safe_log(pi), safe_log(transmat), table
+                ).log_likelihood
+                for source in (table, EmissionSource(emissions, seq)):
+                    for block in (None, 1, 2, 7, 35, 97, 1234, 100_000):
+                        got = streaming_log_likelihood(pi, transmat, source, block=block)
+                        case = f"K={n_states} zeros={zeros} block={block}"
+                        assert got == pytest.approx(ref, abs=1e-8), case
+
+    def test_vanished_message_matches_log_backend(self):
+        # A left-to-right chain forced from its absorbing state back to state
+        # 0 has a zero-probability transition: the probability-domain
+        # forward message vanishes there.  The log domain clamps log(0) to
+        # log(1e-300), and the long path must repair to exactly that.
+        transmat = np.array([[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 1.0]])
+        pi = np.array([1.0, 0.0, 0.0])
+        table = np.random.default_rng(0).normal(size=(40_000, 3))
+        table[20_000] = [-np.inf, -np.inf, 0.0]
+        table[20_001] = [0.0, -np.inf, -np.inf]
+        long_path = InferenceEngine(backend="scaled")  # 40K > long_threshold
+        reference = InferenceEngine(backend="log")
+
+        ll = long_path.log_likelihood(pi, transmat, table)
+        assert ll == pytest.approx(
+            reference.log_likelihood(pi, transmat, table), abs=1e-8
+        )
+        got = long_path.posteriors(pi, transmat, table)
+        ref = reference.posteriors(pi, transmat, table)
+        assert np.isfinite(got.gamma).all()
+        assert np.allclose(got.gamma.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(got.gamma, ref.gamma, atol=1e-8)
         assert np.allclose(got.xi_sum, ref.xi_sum, atol=1e-8)
         assert got.log_likelihood == pytest.approx(ref.log_likelihood, abs=1e-8)
 
-    def test_streaming_log_likelihood_matches(self):
-        rng = np.random.default_rng(29)
-        pi, transmat = random_model(rng, 4)
-        table = rng.normal(size=(1234, 4))
-        ref = compute_posteriors_from_log(
-            safe_log(pi), safe_log(transmat), table
-        ).log_likelihood
-        for block in (97, 1234, 100_000):
-            got = streaming_log_likelihood(pi, transmat, table, block=block)
-            assert got == pytest.approx(ref, abs=1e-8)
+    def test_underflowed_segment_product_runs_serially(self, monkeypatch):
+        # Started in the absorbing state of a left-to-right chain, the only
+        # path stays there.  Data near state 0's mean costs that state 18
+        # nats a row more than state 0, so over a 55-row segment its row of
+        # the transfer product falls ~e^-990 below the others: out of float
+        # range.  The block must rerun serially, not detour to the log
+        # domain (whose clamped log(0) would price a jump back to state 0).
+        n_states = 4
+        transmat = 0.9 * np.eye(n_states) + 0.1 * np.eye(n_states, k=1)
+        transmat[-1, -1] = 1.0
+        pi = np.eye(n_states)[-1]
+        y = np.random.default_rng(3).normal(size=3000)
+        table = -0.5 * (y[:, None] - 2.0 * np.arange(n_states)[None, :]) ** 2
+
+        def no_log_domain(*args):
+            raise AssertionError("detoured to the log-domain reference")
+
+        monkeypatch.setattr(longseq, "_reference_log_likelihood", no_log_domain)
+        got = streaming_log_likelihood(pi, transmat, table)
+        assert got == pytest.approx(table[:, -1].sum(), abs=1e-8)
 
     def test_checkpoint_validation(self):
         rng = np.random.default_rng(1)
         pi, transmat = random_model(rng, 3)
+        table = rng.normal(size=(10, 3))
         with pytest.raises(ValidationError):
-            checkpointed_posteriors(
-                pi, transmat, rng.normal(size=(10, 3)), checkpoint=0
-            )
+            checkpointed_posteriors(pi, transmat, table, checkpoint=0)
+        with pytest.raises(ValidationError):
+            streaming_log_likelihood(pi, transmat, table, block=0)
 
 
 # ------------------------------------------------------------------ #
