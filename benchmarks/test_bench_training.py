@@ -79,13 +79,6 @@ def test_em_iteration_throughput(benchmark, pos_corpus):
     reference_seconds = time_once(
         lambda: _run_em("log", _fresh_model(pos_corpus), corpus, _N_ITER)
     )
-    # Opt-in bucket-level thread pool (report-only; two workers).
-    threaded_engine = InferenceEngine(backend="scaled", n_workers=2)
-    threaded_seconds = time_once(
-        lambda: BaumWelchTrainer(
-            engine=threaded_engine, max_iter=_N_ITER, tol=0.0
-        ).fit(_fresh_model(pos_corpus), corpus)
-    )
 
     speedup = reference_seconds / compiled_seconds
     iteration_ms = compiled_seconds / _N_ITER * 1e3
@@ -101,7 +94,6 @@ def test_em_iteration_throughput(benchmark, pos_corpus):
         },
         "em_seconds": {
             "compiled": compiled_seconds,
-            "compiled_2_workers": threaded_seconds,
             "log_reference": reference_seconds,
         },
         "em_iteration_ms": iteration_ms,
@@ -114,8 +106,7 @@ def test_em_iteration_throughput(benchmark, pos_corpus):
     print(f"{_N_ITER} EM iterations: compiled {compiled_seconds * 1e3:8.1f} ms | "
           f"log {reference_seconds * 1e3:8.1f} ms | {speedup:5.1f}x")
     print(f"per-iteration {iteration_ms:.1f} ms "
-          f"({tokens_per_second / 1e3:.0f}K tokens/s); "
-          f"2-worker pool {threaded_seconds * 1e3:.1f} ms")
+          f"({tokens_per_second / 1e3:.0f}K tokens/s)")
     print(f"results merged into {_RESULT_PATH.name}")
 
     benchmark.extra_info.update(em_speedup=speedup)

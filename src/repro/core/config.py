@@ -23,12 +23,6 @@ class InferenceConfig:
     bucket_size:
         Maximum number of sequences grouped into one padded length-bucket
         by the scaled backend.
-    n_workers:
-        Number of threads the scaled backend maps bucket kernels over
-        within one batched/corpus call.  The default of 1 stays on the
-        calling thread; values above 1 opt in to a thread pool (numpy
-        releases the GIL inside the kernels' matmuls, so large multi-bucket
-        corpora can overlap buckets).
     decode_window:
         Window length ``W`` of the chunked long-sequence decode mode: a
         sequence longer than ``long_threshold`` is split into windows of
@@ -51,7 +45,6 @@ class InferenceConfig:
 
     backend: str = "scaled"
     bucket_size: int = 64
-    n_workers: int = 1
     decode_window: int = 4096
     decode_overlap: int = 256
     long_threshold: int = 32768
@@ -69,10 +62,6 @@ class InferenceConfig:
         if self.bucket_size < 1:
             raise ValidationError(
                 f"bucket_size must be at least 1, got {self.bucket_size}"
-            )
-        if self.n_workers < 1:
-            raise ValidationError(
-                f"n_workers must be at least 1, got {self.n_workers}"
             )
         if self.decode_overlap < 1:
             raise ValidationError(

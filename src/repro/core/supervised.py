@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.config import DHMMConfig
 from repro.core.transition_prior import DPPTransitionPrior
 from repro.exceptions import NotFittedError, ValidationError
+from repro.hmm.corpus import CompiledCorpus
 from repro.hmm.emissions.bernoulli import BernoulliEmission
 from repro.hmm.emissions.base import EmissionModel
 from repro.hmm.model import HMM
@@ -86,13 +87,9 @@ class SupervisedDiversifiedHMM:
         if isinstance(emissions, BernoulliEmission):
             emissions.fit_supervised(sequences, labels, pseudocount=self.emission_pseudocount)
         else:
-            posteriors = []
-            for lab in labels:
-                lab_arr = np.asarray(lab, dtype=np.int64)
-                one_hot = np.zeros((lab_arr.size, self.n_states))
-                one_hot[np.arange(lab_arr.size), lab_arr] = 1.0
-                posteriors.append(one_hot)
-            emissions.m_step(list(sequences), posteriors)
+            # The labels are one-hot posteriors over the flat corpus.
+            tags = np.concatenate([np.asarray(lab, dtype=np.int64) for lab in labels])
+            emissions.m_step_compiled(CompiledCorpus(sequences), np.eye(self.n_states)[tags])
         return emissions
 
     def refine_transitions(

@@ -13,7 +13,6 @@ from repro.dpp.kernels import (
 )
 from repro.dpp.log_det import (
     log_det_psd,
-    psd_log_det_and_inverse,
     dpp_log_prior,
     dpp_log_prior_and_gradient,
     dpp_log_prior_gradient,
@@ -28,7 +27,6 @@ __all__ = [
     "normalized_probability_kernel",
     "transition_kernel_matrix",
     "log_det_psd",
-    "psd_log_det_and_inverse",
     "dpp_log_prior",
     "dpp_log_prior_and_gradient",
     "dpp_log_prior_gradient",

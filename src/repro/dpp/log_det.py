@@ -69,15 +69,6 @@ def _inverse_from_factor(kind: str, factor) -> np.ndarray:
     raise ValidationError("factorization was computed without inverse support")
 
 
-def psd_log_det_and_inverse(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log-determinant and inverse of a PSD matrix from one factorization."""
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {arr.shape}")
-    kind, factor = _factorize_psd(arr)
-    return _log_det_from_factor(kind, factor), _inverse_from_factor(kind, factor)
-
-
 def log_det_psd(matrix: np.ndarray, jitter: float = 0.0) -> float:
     """Log-determinant of a symmetric positive (semi-)definite matrix.
 

@@ -20,8 +20,8 @@ from repro.core.config import DHMMConfig
 from repro.core.diversified_hmm import DiversifiedHMM
 from repro.core.transition_prior import DiversityTransitionUpdater, DPPTransitionPrior
 from repro.datasets.toy import generate_toy_dataset
-from repro.hmm.corpus import compile_corpus
 from repro.hmm.emissions.gaussian import GaussianEmission
+from repro.hmm.engine import InferenceEngine
 from repro.metrics.accuracy import one_to_one_accuracy
 from repro.metrics.diversity import average_pairwise_bhattacharyya
 from repro.utils.maths import normalize_rows
@@ -47,7 +47,7 @@ def run_rho_ablation(
 ) -> list[AblationRow]:
     """Train the toy dHMM with several kernel exponents and compare."""
     dataset = generate_toy_dataset(n_sequences=n_sequences, sigma=sigma, seed=seed)
-    corpus = compile_corpus(dataset.observations)
+    corpus = InferenceEngine().compile(dataset.observations)
     rows: list[AblationRow] = []
     for rho in rhos:
         config = DHMMConfig(alpha=alpha, rho=float(rho), max_em_iter=max_em_iter)
@@ -100,7 +100,7 @@ def run_projection_ablation(
 ) -> list[AblationRow]:
     """Compare the simplex-projection M-step against clip-and-renormalize."""
     dataset = generate_toy_dataset(n_sequences=n_sequences, sigma=sigma, seed=seed)
-    corpus = compile_corpus(dataset.observations)
+    corpus = InferenceEngine().compile(dataset.observations)
     rows: list[AblationRow] = []
 
     for name, updater_cls in (

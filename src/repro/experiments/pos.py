@@ -9,8 +9,9 @@ import numpy as np
 from repro.core.config import DHMMConfig
 from repro.core.diversified_hmm import DiversifiedHMM
 from repro.datasets.pos import PosCorpus, generate_wsj_like_corpus
-from repro.hmm.corpus import CompiledCorpus, compile_corpus
+from repro.hmm.corpus import CompiledCorpus
 from repro.hmm.emissions.categorical import CategoricalEmission
+from repro.hmm.engine import InferenceEngine
 from repro.metrics.accuracy import align_labels_one_to_one, one_to_one_accuracy, remap_predictions
 from repro.metrics.diversity import row_diversity_profile
 from repro.utils.rng import SeedLike
@@ -85,7 +86,7 @@ def run_pos_alpha_sweep(
     accuracies = np.zeros(alphas_arr.size)
     models: list[DiversifiedHMM] = []
     # One compile serves every fit and decode of the grid.
-    compiled = compile_corpus(corpus.words)
+    compiled = InferenceEngine().compile(corpus.words)
     for idx, alpha in enumerate(alphas_arr):
         model = fit_pos_model(
             corpus, float(alpha), max_em_iter=max_em_iter, seed=seed, compiled=compiled
@@ -123,7 +124,7 @@ def tag_frequency_histograms(
     """
     n_tags = corpus.n_tags
     result: dict[str, np.ndarray] = {"ground_truth": corpus.tag_histogram()}
-    compiled = compile_corpus(corpus.words)
+    compiled = InferenceEngine().compile(corpus.words)
     for name, model in (("hmm", hmm_model), ("dhmm", dhmm_model)):
         predictions = model.predict_corpus(compiled)
         mapping = align_labels_one_to_one(corpus.tags, predictions, n_states=n_tags)

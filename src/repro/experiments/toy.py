@@ -15,8 +15,9 @@ from repro.datasets.toy import (
     generate_toy_dataset,
     sigma_sweep_values,
 )
-from repro.hmm.corpus import CompiledCorpus, compile_corpus
+from repro.hmm.corpus import CompiledCorpus
 from repro.hmm.emissions.gaussian import GaussianEmission
+from repro.hmm.engine import InferenceEngine
 from repro.metrics.accuracy import one_to_one_accuracy
 from repro.metrics.diversity import average_pairwise_bhattacharyya
 from repro.metrics.histograms import effective_state_count, state_histogram
@@ -112,7 +113,7 @@ def run_toy_comparison(
     dataset = generate_toy_dataset(
         n_sequences=n_sequences, sequence_length=sequence_length, sigma=sigma, seed=seed
     )
-    corpus = compile_corpus(dataset.observations)
+    corpus = InferenceEngine().compile(dataset.observations)
     hmm, dhmm = _fit_pair(dataset, alpha, seed, max_em_iter, corpus=corpus)
 
     k = dataset.n_states
@@ -176,7 +177,7 @@ def run_sigma_sweep(
                 sigma=float(sigma),
                 seed=rng,
             )
-            corpus = compile_corpus(dataset.observations)
+            corpus = InferenceEngine().compile(dataset.observations)
             hmm, dhmm = _fit_pair(dataset, alpha, rng, max_em_iter, corpus=corpus)
             k = dataset.n_states
             hmm_labels = hmm.predict_corpus(corpus)

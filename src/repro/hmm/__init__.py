@@ -26,9 +26,8 @@ from repro.hmm.corpus import (
     CorpusBucket,
     CorpusPosteriors,
     LongSequenceWindows,
-    compile_corpus,
 )
-from repro.hmm.engine import InferenceEngine, build_engine
+from repro.hmm.engine import InferenceEngine
 from repro.hmm.longseq import (
     ArraySource,
     EmissionSource,
@@ -68,13 +67,11 @@ __all__ = [
     "StreamStep",
     "available_backends",
     "build_backend",
-    "build_engine",
     "viterbi_backpointer_dtype",
     "CompiledCorpus",
     "CorpusBucket",
     "CorpusPosteriors",
     "LongSequenceWindows",
-    "compile_corpus",
     "ArraySource",
     "EmissionSource",
     "LongDecodeResult",

@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError, ValidationError
-from repro.hmm.corpus import CompiledCorpus, CorpusBucket, CorpusPosteriors
+from repro.hmm.corpus import CompiledCorpus, CorpusPosteriors
 from repro.hmm.forward_backward import compute_posteriors_from_log, log_forward
 from repro.hmm.longseq import (
     ArraySource,
@@ -72,7 +71,6 @@ __all__ = [
     "viterbi_backpointer_dtype",
 ]
 
-_T = TypeVar("_T")
 
 #: Smallest admissible scaling constant; prevents division by zero when an
 #: entire forward message underflows (mirrors ``LOG_EPS`` of the reference).
@@ -217,44 +215,17 @@ class ScaledBatchedBackend(InferenceBackend):
         Maximum number of sequences processed together in one padded
         ``(B, L_max, K)`` tensor.  Sequences are sorted by length first, so
         buckets are nearly rectangular.
-    n_workers:
-        Number of threads mapping bucket kernels over the buckets of one
-        call.  The default of 1 keeps everything on the calling thread;
-        values above 1 opt in to a thread pool (numpy releases the GIL
-        inside the matmul-heavy kernels, so large multi-bucket corpora can
-        overlap).  Set process-wide via
-        :attr:`repro.core.config.InferenceConfig.n_workers`.
     """
 
     name = "scaled"
 
-    def __init__(self, bucket_size: int = 64, n_workers: int = 1) -> None:
+    def __init__(self, bucket_size: int = 64) -> None:
         if bucket_size < 1:
             raise ValueError(f"bucket_size must be positive, got {bucket_size}")
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be positive, got {n_workers}")
         self.bucket_size = bucket_size
-        self.n_workers = n_workers
         #: dtype of the most recent Viterbi backpointer allocation;
         #: introspection hook for the benchmark's memory-footprint gate.
         self.last_backpointer_dtype: np.dtype | None = None
-
-    def _map_buckets(
-        self, fn: Callable[[CorpusBucket], _T], buckets: Sequence[CorpusBucket]
-    ) -> list[_T]:
-        """Run one kernel per bucket, on a thread pool when opted in.
-
-        Kernels are pure functions of their bucket (all mutation of shared
-        accumulators happens on the calling thread afterwards), so threading
-        is safe; it only pays off when there are several buckets of real
-        work, hence the sequential default.
-        """
-        if self.n_workers > 1 and len(buckets) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.n_workers, len(buckets))
-            ) as pool:
-                return list(pool.map(fn, buckets))
-        return [fn(bucket) for bucket in buckets]
 
     @staticmethod
     def _obs_weights(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -408,20 +379,15 @@ class ScaledBatchedBackend(InferenceBackend):
         )
         lls = np.empty(corpus.n_sequences)
 
-        def run(bucket: CorpusBucket):
+        for bucket in corpus.buckets:
             gamma, xi_rows, ll_part = self._fb_corpus_bucket(
                 startprob, transmat, corpus.gather(scores_ext, bucket),
                 bucket.lengths,
             )
+            gamma_ext[bucket.positions] = gamma
             # Only the per-sequence entry points keep the rows; training
             # reads the bucket total alone.
-            return gamma, xi_rows.sum(axis=0), xi_rows if sequence_xi else None, ll_part
-
-        for bucket, (gamma, xi_part, xi_rows, ll_part) in zip(
-            corpus.buckets, self._map_buckets(run, corpus.buckets)
-        ):
-            gamma_ext[bucket.positions] = gamma
-            xi_sum += xi_part
+            xi_sum += xi_rows.sum(axis=0)
             start_counts += gamma[:, 0].sum(axis=0)
             lls[bucket.idx] = ll_part
             if xi_seq is not None:
@@ -461,15 +427,11 @@ class ScaledBatchedBackend(InferenceBackend):
         )
         results: list[tuple[np.ndarray, float]] = [None] * corpus.n_sequences
 
-        def run(bucket: CorpusBucket):
-            return self._viterbi_bucket(
+        for bucket in corpus.buckets:
+            bucket_results = self._viterbi_bucket(
                 log_pi, log_AT, corpus.gather(scores_ext, bucket),
                 bucket.lengths,
             )
-
-        for bucket, bucket_results in zip(
-            corpus.buckets, self._map_buckets(run, corpus.buckets)
-        ):
             for j, res in zip(bucket.idx, bucket_results):
                 results[j] = res
         for lw in corpus.long_windows:
@@ -496,7 +458,7 @@ class ScaledBatchedBackend(InferenceBackend):
         )
         lls = np.empty(corpus.n_sequences)
 
-        def run(bucket: CorpusBucket):
+        for bucket in corpus.buckets:
             log_b = corpus.gather(scores_ext, bucket)
             _, _, _, _, bucket_lls, underflow = self._forward_bucket(
                 startprob, transmat, log_b, bucket.lengths
@@ -508,11 +470,6 @@ class ScaledBatchedBackend(InferenceBackend):
                         log_pi, log_A, log_b[b, : bucket.lengths[b]]
                     )
                     bucket_lls[b] = float(logsumexp(log_alpha[-1]))
-            return bucket_lls
-
-        for bucket, bucket_lls in zip(
-            corpus.buckets, self._map_buckets(run, corpus.buckets)
-        ):
             lls[bucket.idx] = bucket_lls
         for lw in corpus.long_windows:
             # Forward-only segment scan: one block of memory per long sequence.
@@ -1081,9 +1038,7 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
-def build_backend(
-    name: str, bucket_size: int = 64, n_workers: int = 1
-) -> InferenceBackend:
+def build_backend(name: str, bucket_size: int = 64) -> InferenceBackend:
     """Instantiate a backend by name (``"scaled"`` or ``"log"``)."""
     try:
         cls = _BACKENDS[name]
@@ -1092,5 +1047,5 @@ def build_backend(
             f"unknown inference backend {name!r}; available: {available_backends()}"
         ) from None
     if cls is ScaledBatchedBackend:
-        return cls(bucket_size=bucket_size, n_workers=n_workers)
+        return cls(bucket_size=bucket_size)
     return cls()

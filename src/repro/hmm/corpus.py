@@ -138,8 +138,9 @@ class CompiledCorpus:
         Sequences longer than this stay out of the padded buckets and are
         compiled into :class:`LongSequenceWindows` plans instead (see
         ``long_windows``); ``None`` (the default for direct construction)
-        disables long-sequence routing.  :func:`compile_corpus` and the
-        engine fill it from :class:`~repro.core.config.InferenceConfig`.
+        disables long-sequence routing.
+        :meth:`~repro.hmm.engine.InferenceEngine.compile` fills it from
+        :class:`~repro.core.config.InferenceConfig`.
     decode_window / decode_overlap:
         Window plan knobs recorded on each long sequence's plan; default to
         4096 / 256 when ``long_threshold`` is set without them.
@@ -241,12 +242,12 @@ class CompiledCorpus:
 
         Returns an ``(n_tokens + 1, K)`` table: the concatenated corpus is
         scored with one vectorized call
-        (:meth:`~repro.hmm.emissions.base.EmissionModel.log_likelihoods_concat`)
+        (:meth:`~repro.hmm.emissions.base.EmissionModel.log_likelihoods`)
         and a zero sentinel row is appended so padded bucket positions
         gather finite zeros — exactly the padding the bucket kernels were
         written against.
         """
-        return self.extend_scores(emissions.log_likelihoods_concat(self.concat))
+        return self.extend_scores(emissions.log_likelihoods(self.concat))
 
     def extend_scores(self, scores: np.ndarray) -> np.ndarray:  # repro: hot-path
         """Append the padding sentinel row to a custom ``(n_tokens, K)`` table.
@@ -286,36 +287,6 @@ class CompiledCorpus:
             f"n_tokens={self.n_tokens}, n_buckets={len(self.buckets)}, "
             f"n_long={len(self.long_windows)})"
         )
-
-
-def compile_corpus(
-    sequences: Sequence[np.ndarray],
-    bucket_size: int | None = None,
-    long_threshold: int | None = None,
-) -> CompiledCorpus:
-    """Compile a dataset using the process-wide inference configuration.
-
-    Convenience for callers without an engine at hand (experiment drivers,
-    scripts): the bucket size, long-sequence threshold and window/overlap
-    knobs default to :class:`repro.core.config.InferenceConfig`, so the
-    compiled buckets (and long-sequence window plans) line up with whatever
-    engine the models will build lazily.
-    """
-    # Imported lazily; core.config's validation imports the hmm layer.
-    from repro.core.config import get_inference_config
-
-    config = get_inference_config()
-    if bucket_size is None:
-        bucket_size = config.bucket_size
-    if long_threshold is None:
-        long_threshold = config.long_threshold
-    return CompiledCorpus(
-        sequences,
-        bucket_size=bucket_size,
-        long_threshold=long_threshold,
-        decode_window=config.decode_window,
-        decode_overlap=config.decode_overlap,
-    )
 
 
 @dataclass

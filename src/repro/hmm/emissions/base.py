@@ -79,63 +79,44 @@ class EmissionModel(abc.ABC):
         """Family-specific reconstruction (``state["family"]`` already checked)."""
 
     @abc.abstractmethod
-    def log_likelihoods(self, sequence: np.ndarray) -> np.ndarray:
+    def log_likelihoods(self, observations: np.ndarray) -> np.ndarray:
         """Log-likelihood of every observation under every state.
+
+        Every family scores timesteps independently, so ``observations``
+        may be one sequence or the flat token array of a whole corpus
+        (:attr:`~repro.hmm.corpus.CompiledCorpus.concat`): a single
+        sequence is a one-sequence corpus.
 
         Parameters
         ----------
-        sequence:
-            Observations for one sequence; the first axis is time.
+        observations:
+            Observations stacked along the first axis (time).
 
         Returns
         -------
         numpy.ndarray
-            Array of shape ``(T, n_states)`` with entries
+            Array of shape ``(N, n_states)`` with entries
             ``log P(y_t | x_t = i)``.
         """
 
     def log_likelihoods_batch(self, sequences: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Emission tables for a whole collection of sequences.
+        """Emission tables for a list of sequences.
 
-        Equivalent to ``[self.log_likelihoods(s) for s in sequences]``;
-        families whose scoring is an indexing or matmul operation override
-        this to score all sequences in one vectorized call.  The engine,
-        the trainer and the tagging service score compiled corpora through
-        :meth:`log_likelihoods_concat` instead.
+        Equivalent to ``[self.log_likelihoods(s) for s in sequences]``.
+        The engine, the trainer and the tagging service score a compiled
+        corpus with one :meth:`log_likelihoods` call instead.
         """
         return [self.log_likelihoods(sequence) for sequence in sequences]
 
-    def log_likelihoods_concat(self, concat: np.ndarray) -> np.ndarray:
-        """Emission table of an already-concatenated corpus (``(N, K)``).
-
-        ``concat`` is the flat token array of a
-        :class:`~repro.hmm.corpus.CompiledCorpus` — all sequences stacked
-        along the time axis.  The default treats it as one long sequence
-        (every family scores timesteps independently); families with a
-        cheaper corpus-level form override it (categorical gathers and
-        takes logs in whichever order needs fewer logarithms).
-        """
-        return self.log_likelihoods(concat)
-
-    def m_step_compiled(self, corpus: "CompiledCorpus", gamma_concat: np.ndarray) -> None:
-        """Emission M-step from corpus-level stacked posteriors.
-
-        ``gamma_concat`` has shape ``(n_tokens, K)`` and is aligned with
-        ``corpus.concat``.  The default splits it back into per-sequence
-        arrays and delegates to :meth:`m_step`; vectorizable families
-        override it with one bincount/matmul over the flat corpus.
-        """
-        self.m_step(corpus.sequences, corpus.split(gamma_concat))
-
     @abc.abstractmethod
-    def m_step(
-        self, sequences: Sequence[np.ndarray], posteriors: Sequence[np.ndarray]
-    ) -> None:
+    def m_step_compiled(self, corpus: "CompiledCorpus", gamma_concat: np.ndarray) -> None:
         """Update parameters from posterior state responsibilities.
 
-        ``posteriors[n]`` has shape ``(T_n, n_states)`` and holds
-        ``q(x_t = i)`` for sequence ``n``.  Implementations update their
-        parameters in place (standard EM weighted-average updates).
+        ``gamma_concat`` has shape ``(n_tokens, n_states)``, is aligned
+        with ``corpus.concat`` and holds ``q(x_t = i)`` for every token of
+        the corpus (one-hot rows for supervised fits).  Implementations
+        update their parameters in place with the standard EM
+        weighted-average updates.
         """
 
     @abc.abstractmethod
@@ -149,7 +130,3 @@ class EmissionModel(abc.ABC):
     @abc.abstractmethod
     def copy(self) -> "EmissionModel":
         """Deep copy of the emission model (used to snapshot EM state)."""
-
-    def validate_sequence(self, sequence: np.ndarray) -> np.ndarray:
-        """Hook for subclasses to validate/convert a single sequence."""
-        return np.asarray(sequence)

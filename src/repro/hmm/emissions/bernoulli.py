@@ -49,8 +49,8 @@ class BernoulliEmission(EmissionModel):
         probs = rng.uniform(0.25, 0.75, size=(n_states, n_features))
         return cls(probs)
 
-    def log_likelihoods(self, sequence: np.ndarray) -> np.ndarray:
-        obs = np.asarray(sequence, dtype=np.float64)
+    def log_likelihoods(self, observations: np.ndarray) -> np.ndarray:
+        obs = np.asarray(observations, dtype=np.float64)
         if obs.ndim != 2 or obs.shape[1] != self.n_features:
             raise ValidationError(
                 f"Bernoulli emissions expect sequences of shape (T, {self.n_features}), "
@@ -59,33 +59,6 @@ class BernoulliEmission(EmissionModel):
         log_p = np.log(self.pixel_probs)
         log_1p = np.log1p(-self.pixel_probs)
         return obs @ log_p.T + (1.0 - obs) @ log_1p.T
-
-    def log_likelihoods_batch(self, sequences: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Score the vertically stacked corpus in one call, then split."""
-        arrays = [np.asarray(seq, dtype=np.float64) for seq in sequences]
-        for obs in arrays:
-            if obs.ndim != 2 or obs.shape[1] != self.n_features:
-                raise ValidationError(
-                    f"Bernoulli emissions expect sequences of shape "
-                    f"(T, {self.n_features}), got {obs.shape}"
-                )
-        if not arrays:
-            return []
-        flat = np.vstack(arrays) if len(arrays) > 1 else arrays[0]
-        bounds = np.cumsum([a.shape[0] for a in arrays])[:-1]
-        return np.split(self.log_likelihoods(flat), bounds)
-
-    def m_step(
-        self, sequences: Sequence[np.ndarray], posteriors: Sequence[np.ndarray]
-    ) -> None:
-        weight_sum = np.zeros(self.n_states)
-        weighted_pixels = np.zeros((self.n_states, self.n_features))
-        for seq, post in zip(sequences, posteriors):
-            obs = np.asarray(seq, dtype=np.float64)
-            weight_sum += post.sum(axis=0)
-            weighted_pixels += post.T @ obs
-        safe = np.maximum(weight_sum, 1e-12)[:, None]
-        self.pixel_probs = np.clip(weighted_pixels / safe, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
     def m_step_compiled(self, corpus, gamma_concat: np.ndarray) -> None:
         """Vectorized M-step: one ``(K, N) @ (N, D)`` matmul over the corpus."""

@@ -52,13 +52,30 @@ class CategoricalEmission(EmissionModel):
         rows = rng.dirichlet(np.full(n_symbols, concentration), size=n_states)
         return cls(rows)
 
-    def log_likelihoods(self, sequence: np.ndarray) -> np.ndarray:
-        obs = np.asarray(sequence)
+    def log_likelihoods(self, observations: np.ndarray) -> np.ndarray:
+        """Emission table from one fancy-index and one log.
+
+        ``log`` is elementwise, so gathering then logging equals logging
+        the ``(K, V)`` table then gathering, bit for bit; the cheaper order
+        is picked from the input.  An input with at least ``V`` tokens (a
+        training corpus) logs the table once (``K * V`` logs instead of
+        ``N * K``); a short one, such as a serving micro-batch or a stream
+        tick, logs only the ``N * K`` gathered entries.
+        """
+        obs = np.asarray(observations)
         if obs.ndim != 1:
             raise ValidationError(f"Categorical emissions expect 1-D sequences, got {obs.shape}")
-        if obs.size and (obs.min() < 0 or obs.max() >= self.n_symbols):
+        if obs.size == 0:
+            return np.empty((0, self.n_states))
+        if obs.dtype.kind not in "iu":
+            raise ValidationError(
+                f"categorical observations must be integer symbols, got dtype {obs.dtype}"
+            )
+        if obs.min() < 0 or obs.max() >= self.n_symbols:
             raise ValidationError("observation symbol out of range")
-        return safe_log(self.emission_probs[:, obs].T)
+        if obs.size < self.n_symbols:
+            return safe_log(self.emission_probs.T[obs])
+        return safe_log(self.emission_probs).T[obs]
 
     def log_likelihoods_batch(self, sequences: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Score the concatenated corpus in one call, then split per sequence."""
@@ -73,36 +90,6 @@ class CategoricalEmission(EmissionModel):
         flat = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
         bounds = np.cumsum([a.shape[0] for a in arrays])[:-1]
         return np.split(self.log_likelihoods(flat), bounds)
-
-    def log_likelihoods_concat(self, concat: np.ndarray) -> np.ndarray:
-        """Emission table of the whole corpus from one fancy-index and one log.
-
-        ``log`` is elementwise, so gathering then logging equals logging
-        the ``(K, V)`` table then gathering, bit for bit; the cheaper order
-        is picked from the input.  A corpus with at least ``V`` tokens logs
-        the table once (``K * V`` logs instead of ``N * K``); a short one,
-        such as a serving micro-batch, logs only the ``N * K`` gathered
-        entries instead of the whole vocabulary table.
-        """
-        obs = np.asarray(concat)
-        if obs.ndim != 1:
-            raise ValidationError(
-                f"Categorical emissions expect 1-D sequences, got {obs.shape}"
-            )
-        if obs.size and (obs.min() < 0 or obs.max() >= self.n_symbols):
-            raise ValidationError("observation symbol out of range")
-        if obs.size < self.n_symbols:
-            return safe_log(self.emission_probs.T[obs])
-        return safe_log(self.emission_probs).T[obs]
-
-    def m_step(
-        self, sequences: Sequence[np.ndarray], posteriors: Sequence[np.ndarray]
-    ) -> None:
-        counts = np.zeros((self.n_states, self.n_symbols))
-        for seq, post in zip(sequences, posteriors):
-            obs = np.asarray(seq, dtype=np.int64)
-            np.add.at(counts.T, obs, post)
-        self.emission_probs = normalize_rows(counts)
 
     def m_step_compiled(self, corpus, gamma_concat: np.ndarray) -> None:
         """Vectorized M-step: one weighted bincount per state over the corpus."""

@@ -71,34 +71,12 @@ class GaussianEmission(EmissionModel):
         variances = rng.gamma(shape=2.0, scale=max(scale, 0.5), size=n_states)
         return cls(means, np.maximum(variances, _MIN_VARIANCE))
 
-    def log_likelihoods(self, sequence: np.ndarray) -> np.ndarray:
-        obs = np.asarray(sequence, dtype=np.float64)
+    def log_likelihoods(self, observations: np.ndarray) -> np.ndarray:
+        obs = np.asarray(observations, dtype=np.float64)
         if obs.ndim != 1:
             raise ValidationError(f"Gaussian emissions expect 1-D sequences, got {obs.shape}")
         diff = obs[:, None] - self.means[None, :]
         return -0.5 * (_LOG_2PI + np.log(self.variances)[None, :] + diff**2 / self.variances[None, :])
-
-    def m_step(
-        self, sequences: Sequence[np.ndarray], posteriors: Sequence[np.ndarray]
-    ) -> None:
-        weight_sum = np.zeros(self.n_states)
-        weighted_obs = np.zeros(self.n_states)
-        for seq, post in zip(sequences, posteriors):
-            obs = np.asarray(seq, dtype=np.float64)
-            weight_sum += post.sum(axis=0)
-            weighted_obs += post.T @ obs
-        safe = np.maximum(weight_sum, 1e-12)
-        new_means = weighted_obs / safe
-
-        weighted_sq = np.zeros(self.n_states)
-        for seq, post in zip(sequences, posteriors):
-            obs = np.asarray(seq, dtype=np.float64)
-            diff_sq = (obs[:, None] - new_means[None, :]) ** 2
-            weighted_sq += np.sum(post * diff_sq, axis=0)
-        new_variances = np.maximum(weighted_sq / safe, _MIN_VARIANCE)
-
-        self.means = new_means
-        self.variances = new_variances
 
     def m_step_compiled(self, corpus, gamma_concat: np.ndarray) -> None:
         """Vectorized M-step: weighted moments of the concatenated corpus."""

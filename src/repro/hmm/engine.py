@@ -103,17 +103,16 @@ class InferenceEngine:
         self,
         backend: str | InferenceBackend | None = None,
         bucket_size: int | None = None,
-        n_workers: int | None = None,
     ) -> None:
         if isinstance(backend, InferenceBackend):
-            if bucket_size is not None or n_workers is not None:
+            if bucket_size is not None:
                 raise ValueError(
-                    "bucket_size/n_workers cannot be combined with a ready "
-                    "backend instance; configure the backend directly"
+                    "bucket_size cannot be combined with a ready backend "
+                    "instance; configure the backend directly"
                 )
             self.backend = backend
         else:
-            if backend is None or bucket_size is None or n_workers is None:
+            if backend is None or bucket_size is None:
                 # Imported lazily: repro.core imports the hmm layer, so a
                 # top-level import here would be circular.
                 from repro.core.config import get_inference_config
@@ -121,10 +120,7 @@ class InferenceEngine:
                 cfg = get_inference_config()
                 backend = backend if backend is not None else cfg.backend
                 bucket_size = bucket_size if bucket_size is not None else cfg.bucket_size
-                n_workers = n_workers if n_workers is not None else cfg.n_workers
-            self.backend = build_backend(
-                backend, bucket_size=bucket_size, n_workers=n_workers
-            )
+            self.backend = build_backend(backend, bucket_size=bucket_size)
         self._params: _CachedParams | None = None
 
     @property
@@ -452,12 +448,3 @@ class InferenceEngine:
         """
         p = self._cached(startprob, transmat)
         return BatchedStreamingSession(p.log_startprob, p.log_transmat, lags=lags)
-
-
-def build_engine(
-    backend: str | InferenceBackend | None = None,
-    bucket_size: int | None = None,
-    n_workers: int | None = None,
-) -> InferenceEngine:
-    """Construct an :class:`InferenceEngine` (thin convenience wrapper)."""
-    return InferenceEngine(backend=backend, bucket_size=bucket_size, n_workers=n_workers)

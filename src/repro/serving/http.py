@@ -249,12 +249,19 @@ class HTTPServingServer:
         loop = self._loop
         if loop is not None:
 
-            def _shutdown() -> None:
+            async def _shutdown() -> None:
                 if self._server is not None:
                     self._server.close()
+                # Keep-alive connection handlers sit in reader.readline():
+                # cancel and await them on the running loop, as asyncio.run
+                # does, so none is left pending when the loop closes.
+                handlers = asyncio.all_tasks() - {asyncio.current_task()}
+                for task in handlers:
+                    task.cancel()
+                await asyncio.gather(*handlers, return_exceptions=True)
                 loop.stop()
 
-            loop.call_soon_threadsafe(_shutdown)
+            asyncio.run_coroutine_threadsafe(_shutdown(), loop)
             if self._thread is not None:
                 self._thread.join(timeout=timeout)
             loop.close()
@@ -370,11 +377,16 @@ class HTTPServingServer:
                     break
         except (asyncio.IncompleteReadError, ConnectionError):
             pass  # client went away mid-request; nothing to answer
+        except asyncio.CancelledError:
+            # close() cancels every open connection.  The handler still
+            # returns normally: Python 3.11's start_server callback logs
+            # a cancelled handler task as an error.
+            pass
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except ConnectionError:
+            except (ConnectionError, asyncio.CancelledError):
                 pass
 
     @staticmethod

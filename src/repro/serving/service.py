@@ -111,7 +111,7 @@ class _ModelExecutor:
             idx = [i for i, r in enumerate(batch) if r.kind == kind]
             if idx:
                 groups.append((kind, idx, engine.compile([batch[i].sequence for i in idx])))
-        table = hmm.emissions.log_likelihoods_concat(
+        table = hmm.emissions.log_likelihoods(
             np.concatenate([corpus.concat for _, _, corpus in groups])
         )
         outcomes: list[tuple[bool, Any]] = [(True, None)] * len(batch)

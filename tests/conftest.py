@@ -8,6 +8,10 @@ import pytest
 from repro.datasets.ocr import generate_ocr_dataset
 from repro.datasets.pos import generate_wsj_like_corpus
 from repro.datasets.toy import generate_toy_dataset
+from repro.hmm.emissions import BernoulliEmission, CategoricalEmission, GaussianEmission
+from repro.hmm.emissions.bernoulli import _PROB_FLOOR
+from repro.hmm.emissions.gaussian import _MIN_VARIANCE
+from repro.utils.maths import normalize_rows
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -63,3 +67,48 @@ def tiny_ocr_dataset():
 def random_transition_matrix(rng):
     """A random 5x5 row-stochastic matrix."""
     return rng.dirichlet(np.ones(5) * 2.0, size=5)
+
+
+def _list_m_step(emissions, sequences, posteriors):
+    """Emission M-step over per-sequence lists, updating ``emissions`` in place.
+
+    The weighted-average updates written one sequence at a time: the
+    reference that every family's flat ``m_step_compiled`` must reproduce.
+    """
+    if isinstance(emissions, CategoricalEmission):
+        counts = np.zeros((emissions.n_states, emissions.n_symbols))
+        for seq, post in zip(sequences, posteriors):
+            np.add.at(counts.T, np.asarray(seq, dtype=np.int64), post)
+        emissions.emission_probs = normalize_rows(counts)
+    elif isinstance(emissions, GaussianEmission):
+        weight_sum = np.zeros(emissions.n_states)
+        weighted_obs = np.zeros(emissions.n_states)
+        for seq, post in zip(sequences, posteriors):
+            weight_sum += post.sum(axis=0)
+            weighted_obs += post.T @ np.asarray(seq, dtype=np.float64)
+        safe = np.maximum(weight_sum, 1e-12)
+        means = weighted_obs / safe
+        weighted_sq = np.zeros(emissions.n_states)
+        for seq, post in zip(sequences, posteriors):
+            diff_sq = (np.asarray(seq, dtype=np.float64)[:, None] - means[None, :]) ** 2
+            weighted_sq += np.sum(post * diff_sq, axis=0)
+        emissions.means = means
+        emissions.variances = np.maximum(weighted_sq / safe, _MIN_VARIANCE)
+    elif isinstance(emissions, BernoulliEmission):
+        weight_sum = np.zeros(emissions.n_states)
+        weighted_pixels = np.zeros((emissions.n_states, emissions.n_features))
+        for seq, post in zip(sequences, posteriors):
+            weight_sum += post.sum(axis=0)
+            weighted_pixels += post.T @ np.asarray(seq, dtype=np.float64)
+        safe = np.maximum(weight_sum, 1e-12)[:, None]
+        emissions.pixel_probs = np.clip(
+            weighted_pixels / safe, _PROB_FLOOR, 1.0 - _PROB_FLOOR
+        )
+    else:
+        raise TypeError(f"no list M-step reference for {type(emissions).__name__}")
+
+
+@pytest.fixture(scope="session")
+def list_m_step():
+    """The per-sequence-list emission M-step (see :func:`_list_m_step`)."""
+    return _list_m_step

@@ -7,6 +7,7 @@ from repro.core import DHMMConfig, SupervisedDiversifiedHMM
 from repro.datasets.ocr import N_LETTERS, N_PIXELS
 from repro.dpp.log_det import dpp_log_prior
 from repro.exceptions import NotFittedError, ValidationError
+from repro.hmm.emissions import CategoricalEmission, GaussianEmission
 from repro.metrics.accuracy import sequence_accuracy
 from repro.metrics.diversity import average_pairwise_bhattacharyya
 
@@ -84,3 +85,44 @@ class TestSupervisedDiversifiedHMM:
     def test_refinement_result_is_exposed(self, fitted_dhmm):
         assert fitted_dhmm.refinement_result_ is not None
         assert np.isfinite(fitted_dhmm.refinement_result_.objective)
+
+
+def _one_hot(labels, n_states):
+    return [np.eye(n_states)[np.asarray(lab)] for lab in labels]
+
+
+class TestNonBernoulliEmissions:
+    """Categorical and Gaussian emissions are fitted from one-hot label
+    posteriors by the flat M-step; the list M-step is the reference."""
+
+    def test_categorical_emissions_match_list_m_step(self, tiny_pos_corpus, list_m_step):
+        corpus = tiny_pos_corpus
+        template = CategoricalEmission.random_init(
+            corpus.n_tags, corpus.vocabulary_size, seed=0
+        )
+        model = SupervisedDiversifiedHMM(
+            corpus.n_tags, config=DHMMConfig(alpha=1.0), emissions=template
+        )
+        model.fit(corpus.words, corpus.tags)
+        reference = template.copy()
+        list_m_step(reference, corpus.words, _one_hot(corpus.tags, corpus.n_tags))
+        np.testing.assert_array_equal(
+            model.model_.emissions.emission_probs, reference.emission_probs
+        )
+
+    def test_gaussian_emissions_match_list_m_step(self, toy_data, list_m_step):
+        n_states = toy_data.n_states
+        template = GaussianEmission(np.zeros(n_states), np.ones(n_states))
+        model = SupervisedDiversifiedHMM(
+            n_states, config=DHMMConfig(alpha=1.0), emissions=template
+        )
+        model.fit(toy_data.observations, toy_data.states)
+        reference = template.copy()
+        list_m_step(
+            reference, toy_data.observations, _one_hot(toy_data.states, n_states)
+        )
+        fitted = model.model_.emissions
+        np.testing.assert_allclose(fitted.means, reference.means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            fitted.variances, reference.variances, rtol=0, atol=1e-12
+        )

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.dpp.log_det import (
+    _factorize_psd,
+    _inverse_from_factor,
+    _log_det_from_factor,
     dpp_log_prior,
     dpp_log_prior_and_gradient,
     dpp_log_prior_gradient,
     log_det_psd,
     paper_closed_form_gradient,
-    psd_log_det_and_inverse,
 )
 from repro.exceptions import ValidationError
 from repro.optim.simplex import project_rows_to_simplex
@@ -55,25 +57,50 @@ class TestLogDetPsd:
             log_det_psd(np.ones((2, 3)))
 
 
+def _force_eigh_fallback(monkeypatch):
+    """Make every Cholesky factorization fail, as on a singular kernel."""
+
+    def no_cholesky(matrix):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+
+
 class TestPsdLogDetAndInverse:
+    """The one factorization behind the prior's value and gradient."""
+
     def test_single_factorization_matches_separate_computations(self):
         rng = np.random.default_rng(1)
         M = rng.normal(size=(6, 6))
         K = M @ M.T + np.eye(6)
-        log_det, inverse = psd_log_det_and_inverse(K)
-        assert np.isclose(log_det, np.linalg.slogdet(K)[1])
+        kind, factor = _factorize_psd(K)
+        assert kind == "cholesky"
+        inverse = _inverse_from_factor(kind, factor)
+        assert np.isclose(_log_det_from_factor(kind, factor), np.linalg.slogdet(K)[1])
         assert np.allclose(inverse, np.linalg.inv(K), atol=1e-10)
         # Cholesky-derived inverse of an SPD matrix is symmetric.
         assert np.allclose(inverse, inverse.T)
 
-    def test_semidefinite_fallback_is_finite(self):
-        log_det, inverse = psd_log_det_and_inverse(np.ones((3, 3)))
-        assert np.isfinite(log_det)
-        assert np.all(np.isfinite(inverse))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_eigh_fallback_matches_cholesky_gradient(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n_states = int(rng.integers(3, 9))
+        A = rng.dirichlet(np.ones(n_states), size=n_states)
+        value, grad = dpp_log_prior_and_gradient(A, rho=0.5)
+        _force_eigh_fallback(monkeypatch)
+        fallback_value, fallback_grad = dpp_log_prior_and_gradient(A, rho=0.5)
+        assert abs(fallback_value - value) < 1e-8
+        np.testing.assert_allclose(
+            fallback_grad, grad, rtol=0, atol=1e-8 * np.abs(grad).max()
+        )
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValidationError):
-            psd_log_det_and_inverse(np.ones((2, 3)))
+    def test_semidefinite_fallback_is_finite(self, monkeypatch):
+        # Duplicate rows make the unjittered kernel exactly singular.
+        A = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+        _force_eigh_fallback(monkeypatch)
+        value, grad = dpp_log_prior_and_gradient(A, rho=0.5, jitter=0.0)
+        assert np.isfinite(value)
+        assert np.all(np.isfinite(grad))
 
     def test_combined_prior_matches_separate_prior_and_gradient(self):
         rng = np.random.default_rng(2)

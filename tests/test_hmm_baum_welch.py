@@ -112,21 +112,16 @@ class _CountingEmission(CategoricalEmission):
 
     def __init__(self, emission_probs):
         super().__init__(emission_probs)
-        self.single_calls = 0
+        self.scoring_calls = 0
         self.batch_calls = 0
-        self.concat_calls = 0
 
-    def log_likelihoods(self, sequence):
-        self.single_calls += 1
-        return super().log_likelihoods(sequence)
+    def log_likelihoods(self, observations):
+        self.scoring_calls += 1
+        return super().log_likelihoods(observations)
 
     def log_likelihoods_batch(self, sequences):
         self.batch_calls += 1
         return super().log_likelihoods_batch(sequences)
-
-    def log_likelihoods_concat(self, concat):
-        self.concat_calls += 1
-        return super().log_likelihoods_concat(concat)
 
 
 class TestEStepUsesBatchScoring:
@@ -139,10 +134,10 @@ class TestEStepUsesBatchScoring:
         emissions = _CountingEmission(truth.emissions.emission_probs)
         model = HMM(truth.startprob, truth.transmat, emissions)
         assert len(model.predict(observations)) == 12
-        assert emissions.concat_calls == 1
+        assert emissions.scoring_calls == 1
         model.score(observations)
-        assert emissions.concat_calls == 2
-        assert emissions.single_calls == emissions.batch_calls == 0
+        assert emissions.scoring_calls == 2
+        assert emissions.batch_calls == 0
 
     def test_fit_scores_emissions_once_per_iteration(self):
         truth = make_ground_truth_categorical()
@@ -152,8 +147,7 @@ class TestEStepUsesBatchScoring:
         n_iter = BaumWelchTrainer(max_iter=4, tol=0.0).fit(model, observations).n_iter
         # The compiled-corpus fit scores the concatenated corpus exactly
         # once per EM iteration and never per sequence.
-        assert emissions.concat_calls == n_iter
-        assert emissions.single_calls == 0
+        assert emissions.scoring_calls == n_iter
         assert emissions.batch_calls == 0
 
 

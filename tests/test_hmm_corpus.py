@@ -23,8 +23,8 @@ from repro.hmm import (
     CompiledCorpus,
     GaussianEmission,
     InferenceEngine,
-    compile_corpus,
 )
+from repro.utils.maths import safe_log
 
 ATOL = 1e-8
 
@@ -126,7 +126,7 @@ class TestCompiledCorpusStructure:
         startprob, transmat, emissions, sequences = random_problem(12)
         engine = InferenceEngine(backend=backend, bucket_size=3)
         corpus = engine.compile(sequences)
-        bare = emissions.log_likelihoods_concat(corpus.concat)
+        bare = emissions.log_likelihoods(corpus.concat)
         for method in ("posteriors_corpus", "viterbi_corpus", "log_likelihood_corpus"):
             with pytest.raises(DimensionMismatchError):
                 getattr(engine, method)(startprob, transmat, corpus, bare)
@@ -134,8 +134,17 @@ class TestCompiledCorpusStructure:
     def test_compile_corpus_follows_process_config(self):
         sequences = [np.array([0, 1]), np.array([1])]
         with inference_backend("scaled", bucket_size=17):
-            assert compile_corpus(sequences).bucket_size == 17
-        assert compile_corpus(sequences, bucket_size=5).bucket_size == 5
+            assert InferenceEngine().compile(sequences).bucket_size == 17
+        assert InferenceEngine(bucket_size=5).compile(sequences).bucket_size == 5
+        previous = set_inference_config(
+            InferenceConfig(decode_window=64, decode_overlap=8, long_threshold=128)
+        )
+        try:
+            corpus = InferenceEngine().compile(sequences)
+        finally:
+            set_inference_config(previous)
+        assert corpus.long_threshold == 128
+        assert (corpus.decode_window, corpus.decode_overlap) == (64, 8)
 
     def test_engine_compile_uses_backend_bucket_size(self):
         engine = InferenceEngine(backend="scaled", bucket_size=9)
@@ -240,42 +249,16 @@ class TestCorpusEquivalence:
         assert got_ll[0] == want_ll[0]
         np.testing.assert_allclose(got_ll, want_ll, atol=ATOL)
 
-    def test_n_workers_does_not_change_results(self):
-        startprob, transmat, emissions, sequences = random_problem(17)
-        serial = InferenceEngine(backend="scaled", bucket_size=2, n_workers=1)
-        threaded = InferenceEngine(backend="scaled", bucket_size=2, n_workers=4)
-        corpus = serial.compile(sequences)
-        scores_ext = corpus.score(emissions)
-        got = threaded.posteriors_corpus(startprob, transmat, corpus, scores_ext)
-        want = serial.posteriors_corpus(startprob, transmat, corpus, scores_ext)
-        np.testing.assert_array_equal(got.gamma_concat, want.gamma_concat)
-        np.testing.assert_array_equal(got.xi_sum, want.xi_sum)
-        got_v = threaded.viterbi_corpus(startprob, transmat, corpus, scores_ext)
-        want_v = serial.viterbi_corpus(startprob, transmat, corpus, scores_ext)
-        for (gp, gl), (wp, wl) in zip(got_v, want_v):
-            np.testing.assert_array_equal(gp, wp)
-            assert gl == wl
-
-    def test_n_workers_config_round_trip(self):
-        previous = set_inference_config(InferenceConfig(n_workers=3))
-        try:
-            engine = InferenceEngine()
-            assert engine.backend.n_workers == 3
-        finally:
-            set_inference_config(previous)
-        with pytest.raises(ValidationError):
-            InferenceConfig(n_workers=0)
-
 
 class TestVectorizedMStep:
-    def test_categorical_m_step_compiled_matches_loop(self):
+    def test_categorical_m_step_compiled_matches_loop(self, list_m_step):
         rng = np.random.default_rng(4)
         sequences = [rng.integers(0, 7, size=n) for n in (3, 9, 1, 14)]
         corpus = CompiledCorpus(sequences, bucket_size=3)
         gammas = [rng.dirichlet(np.ones(5), size=len(s)) for s in sequences]
         loop = CategoricalEmission.random_init(5, 7, seed=0)
         fast = loop.copy()
-        loop.m_step(sequences, gammas)
+        list_m_step(loop, sequences, gammas)
         fast.m_step_compiled(corpus, np.concatenate(gammas))
         np.testing.assert_allclose(
             fast.emission_probs, loop.emission_probs, atol=1e-12
@@ -284,17 +267,18 @@ class TestVectorizedMStep:
     def test_categorical_concat_scoring_matches(self):
         rng = np.random.default_rng(5)
         em = CategoricalEmission.random_init(4, 9, seed=5)
-        # Bit-identical on both sides of the gather/log order switch: fewer
-        # tokens than symbols gathers first, at least as many logs the table.
+        # Bit-identical to gathering the columns and logging them, on both
+        # sides of the gather/log order switch: fewer tokens than symbols
+        # gathers first, at least as many logs the table.
         for size in (5, 50):
             concat = rng.integers(0, 9, size=size)
             np.testing.assert_array_equal(
-                em.log_likelihoods_concat(concat), em.log_likelihoods(concat)
+                em.log_likelihoods(concat), safe_log(em.emission_probs[:, concat].T)
             )
         with pytest.raises(ValidationError):
-            em.log_likelihoods_concat(np.array([0, 9]))
+            em.log_likelihoods(np.array([0, 9]))
 
-    def test_bernoulli_m_step_compiled_matches_loop(self):
+    def test_bernoulli_m_step_compiled_matches_loop(self, list_m_step):
         rng = np.random.default_rng(6)
         sequences = [
             rng.integers(0, 2, size=(n, 6)).astype(float) for n in (2, 5, 8, 1)
@@ -303,18 +287,18 @@ class TestVectorizedMStep:
         gammas = [rng.dirichlet(np.ones(3), size=len(s)) for s in sequences]
         loop = BernoulliEmission.random_init(3, 6, seed=1)
         fast = loop.copy()
-        loop.m_step(sequences, gammas)
+        list_m_step(loop, sequences, gammas)
         fast.m_step_compiled(corpus, np.concatenate(gammas))
         np.testing.assert_allclose(fast.pixel_probs, loop.pixel_probs, atol=1e-12)
 
-    def test_gaussian_m_step_compiled_matches_loop(self):
+    def test_gaussian_m_step_compiled_matches_loop(self, list_m_step):
         rng = np.random.default_rng(7)
         sequences = [rng.normal(size=n) for n in (4, 11, 2)]
         corpus = CompiledCorpus(sequences, bucket_size=2)
         gammas = [rng.dirichlet(np.ones(3), size=len(s)) for s in sequences]
         loop = GaussianEmission(np.array([0.0, 1.0, 2.0]), np.ones(3))
         fast = loop.copy()
-        loop.m_step(sequences, gammas)
+        list_m_step(loop, sequences, gammas)
         fast.m_step_compiled(corpus, np.concatenate(gammas))
         np.testing.assert_allclose(fast.means, loop.means, atol=1e-12)
         np.testing.assert_allclose(fast.variances, loop.variances, atol=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.hmm.corpus import CompiledCorpus
 from repro.hmm.emissions import BernoulliEmission, CategoricalEmission, GaussianEmission
 
 
@@ -22,7 +23,7 @@ class TestGaussianEmission:
         em = GaussianEmission(np.zeros(2), np.ones(2))
         seq = np.array([1.0, 1.0, 5.0, 5.0])
         post = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        em.m_step([seq], [post])
+        em.m_step_compiled(CompiledCorpus([seq]), post)
         assert np.allclose(em.means, [1.0, 5.0])
         assert np.all(em.variances >= 1e-6)
 
@@ -30,7 +31,7 @@ class TestGaussianEmission:
         em = GaussianEmission(np.zeros(1), np.ones(1))
         seq = np.array([2.0, 2.0, 2.0])
         post = np.ones((3, 1))
-        em.m_step([seq], [post])
+        em.m_step_compiled(CompiledCorpus([seq]), post)
         assert em.variances[0] >= 1e-6
 
     def test_sample_is_float(self):
@@ -77,7 +78,7 @@ class TestCategoricalEmission:
         em = CategoricalEmission(np.full((2, 3), 1.0 / 3.0))
         seq = np.array([0, 0, 1, 2])
         post = np.array([[1.0, 0], [1.0, 0], [0, 1.0], [0, 1.0]])
-        em.m_step([seq], [post])
+        em.m_step_compiled(CompiledCorpus([seq]), post)
         assert np.allclose(em.emission_probs[0], [1.0, 0.0, 0.0])
         assert np.allclose(em.emission_probs[1], [0.0, 0.5, 0.5])
 
@@ -95,6 +96,18 @@ class TestCategoricalEmission:
         em = CategoricalEmission(np.array([[0.5, 0.5]]))
         with pytest.raises(ValidationError):
             em.log_likelihoods(np.array([0, 2]))
+
+    @pytest.mark.parametrize(
+        "symbols", [[1.5, 2], [1.0, 2.0], ["a"], [True, False]], ids=repr
+    )
+    def test_rejects_non_integer_symbols(self, symbols):
+        em = CategoricalEmission(np.full((2, 3), 1.0 / 3.0))
+        with pytest.raises(ValidationError, match="integer"):
+            em.log_likelihoods(np.asarray(symbols))
+
+    def test_empty_input_scores_to_an_empty_table(self):
+        em = CategoricalEmission(np.full((2, 3), 1.0 / 3.0))
+        assert em.log_likelihoods(np.array([])).shape == (0, 2)
 
     def test_rejects_non_stochastic_rows(self):
         with pytest.raises(ValidationError):
@@ -122,7 +135,7 @@ class TestBernoulliEmission:
         em = BernoulliEmission(np.full((1, 2), 0.5))
         obs = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
         post = np.ones((3, 1))
-        em.m_step([obs], [post])
+        em.m_step_compiled(CompiledCorpus([obs]), post)
         assert em.pixel_probs[0, 0] > 0.9
         assert np.isclose(em.pixel_probs[0, 1], 1.0 / 3.0, atol=1e-3)
 

@@ -64,10 +64,10 @@ class _GatedEmission(CategoricalEmission):
         self.release = threading.Event()
         self.started = threading.Event()
 
-    def log_likelihoods_concat(self, concat):
+    def log_likelihoods(self, observations):
         self.started.set()
         assert self.release.wait(timeout=30), "test forgot to release the gate"
-        return super().log_likelihoods_concat(concat)
+        return super().log_likelihoods(observations)
 
 
 def _gated_hmm(seed, n_states=4, n_symbols=8):

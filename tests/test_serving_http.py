@@ -1,6 +1,10 @@
 """HTTP front end: endpoints, error mapping, streaming sessions, CLI flags."""
 
+import gc
+import http.client
 import json
+import logging
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -9,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ServingConfig
+from repro.exceptions import ValidationError
 from repro.hmm import HMM, CategoricalEmission
 from repro.serving import HTTPServingServer, ModelRegistry, StreamingDecoder
 
@@ -62,8 +67,9 @@ def _post(server, path, payload=None):
 def _error_status(fn):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         fn()
-    body = json.loads(excinfo.value.read())
-    return excinfo.value.code, body
+    with excinfo.value as error:
+        body = json.loads(error.read())
+    return error.code, body
 
 
 class TestCoreEndpoints:
@@ -165,6 +171,39 @@ class TestErrorMapping:
         assert status == 404
 
 
+class TestNonIntegerSymbols:
+    """A categorical model takes integer symbols only; anything else is a
+    validation error (HTTP 400), never a raw numpy error (HTTP 500)."""
+
+    SEQUENCES = [[1.5, 2], [1.0, 2.0], ["a"], [True, False]]
+
+    @pytest.mark.parametrize("sequence", SEQUENCES, ids=repr)
+    def test_predict_raises_validation_error(self, models, sequence):
+        with pytest.raises(ValidationError, match="integer"):
+            models["alpha"].predict([np.asarray(sequence)])
+
+    @pytest.mark.parametrize("sequence", SEQUENCES, ids=repr)
+    def test_tag_is_400(self, server, sequence):
+        status, body = _error_status(
+            lambda: _post(server, "/v1/models/alpha/tag", {"sequence": sequence})
+        )
+        assert status == 400
+        assert "integer" in body["error"]
+
+    @pytest.mark.parametrize("observation", [1.5, True, "a"], ids=repr)
+    def test_stream_push_is_400(self, server, observation):
+        _, opened = _post(server, "/v1/streams", {"model": "alpha"})
+        push = f"/v1/streams/{opened['stream_id']}/push"
+        status, body = _error_status(
+            lambda: _post(server, push, {"observation": observation})
+        )
+        assert status == 400
+        assert "integer" in body["error"]
+        # the rejected token left the stream usable
+        status, step = _post(server, push, {"observation": 1})
+        assert status == 200 and len(step["filtering"]) == 4
+
+
 class TestStreaming:
     def test_stream_session_matches_decoder(self, server, models):
         observations = [0, 3, 1, 2, 4, 1, 5, 2]
@@ -218,6 +257,36 @@ class TestLifecycle:
         server.close()
         with pytest.raises(urllib.error.URLError):
             _get(server, "/healthz")
+
+    def test_close_with_an_open_keep_alive_connection_is_clean(
+        self, tmp_path, models, caplog, monkeypatch
+    ):
+        # Regression: close() stopped the loop while the connection's
+        # handler still waited for its next request, so the handler task
+        # was destroyed pending and its writer.close() hit a closed loop.
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.save("alpha", models["alpha"])
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        server = HTTPServingServer(registry, port=0).start()
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            connection.request(
+                "POST",
+                "/v1/models/alpha/tag",
+                body=json.dumps({"sequence": [0, 1, 2]}),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                server.close()
+                gc.collect()
+        finally:
+            connection.close()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+        assert [str(u.exc_value) for u in unraisable] == []
 
     def test_scheduling_policy_flows_through_config(self, tmp_path, models):
         registry = ModelRegistry(tmp_path / "registry")

@@ -39,11 +39,11 @@ class _GatedEmission(CategoricalEmission):
         self.started = threading.Event()
         self.batch_calls = 0
 
-    def log_likelihoods_concat(self, concat):
+    def log_likelihoods(self, observations):
         self.batch_calls += 1
         self.started.set()
         assert self.release.wait(timeout=30), "test forgot to release the gate"
-        return super().log_likelihoods_concat(concat)
+        return super().log_likelihoods(observations)
 
 
 def _gated_hmm(seed, n_states=4, n_symbols=8):
@@ -167,17 +167,13 @@ class _CountingEmission(CategoricalEmission):
         super().__init__(emission_probs)
         self.scoring_calls = 0
 
-    def log_likelihoods(self, sequence):
+    def log_likelihoods(self, observations):
         self.scoring_calls += 1
-        return super().log_likelihoods(sequence)
+        return super().log_likelihoods(observations)
 
     def log_likelihoods_batch(self, sequences):
         self.scoring_calls += 1
         return super().log_likelihoods_batch(sequences)
-
-    def log_likelihoods_concat(self, concat):
-        self.scoring_calls += 1
-        return super().log_likelihoods_concat(concat)
 
 
 class TestExecutor:
@@ -308,10 +304,7 @@ class TestLifecycle:
         class _InterruptingEmission(CategoricalEmission):
             family = "abstract"
 
-            def log_likelihoods_concat(self, concat):
-                raise KeyboardInterrupt
-
-            def log_likelihoods(self, seq):
+            def log_likelihoods(self, observations):
                 raise KeyboardInterrupt
 
         rng = np.random.default_rng(0)
