@@ -9,6 +9,10 @@ requests concurrently and lets the micro-batcher coalesce them into
 engine length-buckets.  Also reports the fixed-lag streaming decoder's
 single-token-latency path for reference.
 
+The idle benchmark sends requests one at a time, each after an idle gap,
+and gates what the service adds to the engine's own time: the dispatcher
+batches continuously, so a lone request must not wait for a batching timer.
+
 The streaming benchmark drives B=32 concurrent online streams: the
 baseline steps 32 one-stream sessions per tick (what 32 dedicated
 ``StreamingDecoder`` objects run), the batched run advances all 32 through
@@ -56,6 +60,15 @@ MIN_STREAM_SERVICE_SPEEDUP = float(
     os.environ.get("BENCH_MIN_STREAM_SERVICE_SPEEDUP", "1.0")
 )
 
+#: Ceiling on the median time a request sent to an idle TaggingService
+#: spends beyond the engine's own decode of it.  Below the 2 ms batching
+#: timer the dispatcher used to wait, so a reintroduced timer fails.
+MAX_IDLE_OVERHEAD_MS = float(os.environ.get("BENCH_MAX_IDLE_OVERHEAD_MS", "1.0"))
+
+#: Idle-overhead workload: this many requests, each after this idle gap.
+IDLE_REQUESTS = 300
+IDLE_GAP_S = 0.002
+
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 
 
@@ -90,7 +103,7 @@ def test_micro_batched_service_speedup(benchmark, pos_corpus):
     # lets the engine sort them into near-rectangular length-buckets; a
     # micro-batch of exactly bucket_size arrival-ordered sequences pads the
     # whole bucket to its longest member.
-    config = ServingConfig(max_batch_size=256, max_wait_ms=2.0)
+    config = ServingConfig(max_batch_size=256)
 
     # Correctness gate: served paths must match direct batch decoding.
     with TaggingService(model, config=config) as service:
@@ -137,10 +150,7 @@ def test_micro_batched_service_speedup(benchmark, pos_corpus):
             "n_states": pos_corpus.n_tags,
             "vocabulary_size": pos_corpus.vocabulary_size,
         },
-        "config": {
-            "max_batch_size": config.max_batch_size,
-            "max_wait_ms": config.max_wait_ms,
-        },
+        "config": {"max_batch_size": config.max_batch_size},
         "sequential_seconds": sequential_seconds,
         "service_seconds": service_seconds,
         "service_speedup": speedup,
@@ -167,6 +177,62 @@ def test_micro_batched_service_speedup(benchmark, pos_corpus):
     benchmark.pedantic(micro_batched, rounds=1, iterations=1)
 
     assert speedup >= MIN_SERVICE_SPEEDUP
+
+
+def test_idle_request_overhead(benchmark, pos_corpus):
+    """A lone request on an idle service vs the engine decoding it directly.
+
+    Requests go out one at a time, each after a 2 ms idle gap, interleaved
+    with direct ``model.predict([seq])`` calls after the same gap.  The
+    gated overhead is the median of the paired differences.
+    """
+    model = _build_model(pos_corpus)
+    sequences = pos_corpus.words
+    picks = np.random.default_rng(5).integers(0, len(sequences), size=IDLE_REQUESTS)
+
+    def measure():
+        service_ms, engine_ms = [], []
+        with TaggingService(model) as service:
+            service.tag(sequences[0])  # warm-up
+            for j in picks:
+                seq = sequences[j]
+                time.sleep(IDLE_GAP_S)
+                start = time.perf_counter()
+                served = service.tag(seq)
+                service_ms.append((time.perf_counter() - start) * 1e3)
+                time.sleep(IDLE_GAP_S)
+                start = time.perf_counter()
+                direct = model.predict([seq])[0]
+                engine_ms.append((time.perf_counter() - start) * 1e3)
+                # Correctness gate: the served path is the direct decode.
+                assert np.array_equal(served, direct)
+        return np.asarray(service_ms), np.asarray(engine_ms)
+
+    service_ms, engine_ms = benchmark.pedantic(measure, rounds=1, iterations=1)
+    overhead_ms = float(np.median(service_ms - engine_ms))
+    results = {
+        "idle_workload": {
+            "n_requests": IDLE_REQUESTS,
+            "idle_gap_ms": IDLE_GAP_S * 1e3,
+            "n_states": pos_corpus.n_tags,
+            "vocabulary_size": pos_corpus.vocabulary_size,
+        },
+        "idle_p50_ms": float(np.median(service_ms)),
+        "idle_engine_p50_ms": float(np.median(engine_ms)),
+        "idle_overhead_p50_ms": overhead_ms,
+    }
+    merge_results(_RESULT_PATH, results)
+
+    print_header("Serving - idle request: TaggingService vs direct decode")
+    print(f"service    : p50 {results['idle_p50_ms']:6.3f} ms")
+    print(f"engine     : p50 {results['idle_engine_p50_ms']:6.3f} ms")
+    print(f"overhead   : p50 {overhead_ms:6.3f} ms "
+          f"(gate <= {MAX_IDLE_OVERHEAD_MS} ms)")
+    print(f"results merged into {_RESULT_PATH.name}")
+
+    benchmark.extra_info.update(idle_overhead_p50_ms=overhead_ms)
+
+    assert overhead_ms <= MAX_IDLE_OVERHEAD_MS
 
 
 def test_batched_streaming_speedup(benchmark, pos_corpus):
@@ -262,10 +328,9 @@ def test_streaming_service_concurrent_clients(benchmark, pos_corpus):
     ]
     # every push is one queued request, so B * length pushes in flight at
     # once need the bound lifted (a real deployment would flow-control).
-    # The batch-wait timer stays at zero: the pre-queued backlog is what
-    # drives coalescing here (ticks stay at full B-width regardless), and
-    # any positive wait would just tax the open/finish control round-trips.
-    config = ServingConfig(max_batch_size=64, max_wait_ms=0.0, queue_capacity=None)
+    # The pre-queued backlog is what drives coalescing here: ticks stay at
+    # full B-width.
+    config = ServingConfig(max_batch_size=64, queue_capacity=None)
 
     def per_client_decoders():
         results = []

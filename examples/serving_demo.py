@@ -90,7 +90,7 @@ def main() -> None:
         print(f"    full path accuracy vs gold tags: {accuracy:.2f}")
 
         print("\n=== 4. Serve a burst of concurrent requests through the micro-batcher")
-        config = ServingConfig(max_batch_size=256, max_wait_ms=2.0)
+        config = ServingConfig(max_batch_size=256)
         start = time.perf_counter()
         with TaggingService(served_model, config=config) as service:
             paths = service.tag_many(corpus.words)
@@ -126,7 +126,7 @@ def main() -> None:
         baseline.fit(corpus.words, corpus.tags)
         registry.save("pos-baseline", baseline, metadata={"alpha": 0.0})
         routed_config = ServingConfig(
-            max_batch_size=256, max_wait_ms=2.0, queue_capacity=4096,
+            max_batch_size=256, queue_capacity=4096,
             max_loaded_models=2, scheduling_policy="weighted_fair",
             model_weights={"pos-tagger": 2.0, "pos-baseline": 1.0},
         )

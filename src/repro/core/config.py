@@ -137,17 +137,17 @@ SCHEDULING_POLICIES = ("fifo", "weighted_fair", "edf")
 class ServingConfig:
     """Process-wide defaults for the serving subsystem (:mod:`repro.serving`).
 
+    The scheduler batches continuously: it dispatches as soon as its
+    engine is free, and a batch is whatever queued up while the previous
+    one computed.  There is no batching timer to tune; the batch size
+    follows the load.
+
     Attributes
     ----------
     max_batch_size:
         Largest number of queued requests the :class:`~repro.serving.TaggingService`
         coalesces into one engine call.  Aligning it with the engine's
         ``bucket_size`` keeps every micro-batch a single padded bucket.
-    max_wait_ms:
-        How long the service batcher waits for more requests after the
-        first one arrives before dispatching a partial batch.  ``0`` means
-        "drain whatever is queued right now" (lowest latency, smallest
-        batches).
     queue_capacity:
         Largest number of requests the service queue holds before further
         submissions fast-fail with
@@ -172,7 +172,11 @@ class ServingConfig:
     request_timeout_s:
         How long transport front ends (the HTTP server, client helpers)
         wait on a scheduler future before answering 503 with a
-        ``Retry-After`` hint; ``None`` waits forever.
+        ``Retry-After`` hint.  The HTTP server and the cluster balancer
+        also bound by it the reading of one request (line, headers and
+        body) and the idle wait between keep-alive requests: a client
+        that stalls mid-request gets 408, an idle one is closed.
+        ``None`` waits forever.
     max_dispatcher_restarts:
         How many times the scheduler's supervisor restarts a dispatcher
         thread that died on an unexpected exception before declaring the
@@ -203,7 +207,6 @@ class ServingConfig:
     """
 
     max_batch_size: int = 64
-    max_wait_ms: float = 2.0
     queue_capacity: int | None = 1024
     max_loaded_models: int = 4
     streaming_lag: int | None = 32
@@ -222,10 +225,6 @@ class ServingConfig:
         if self.max_batch_size < 1:
             raise ValidationError(
                 f"max_batch_size must be at least 1, got {self.max_batch_size}"
-            )
-        if self.max_wait_ms < 0:
-            raise ValidationError(
-                f"max_wait_ms must be non-negative, got {self.max_wait_ms}"
             )
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValidationError(

@@ -252,9 +252,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
                 n_batches += 1
             mode = f"streaming (lag={lag})"
         elif args.service:
-            config = ServingConfig(
-                max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms
-            )
+            config = ServingConfig(max_batch_size=args.max_batch_size)
             with TaggingService(hmm, config=config) as service:
                 for batch in batches:
                     emit(service.tag_many(batch))
@@ -340,7 +338,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
     config = ServingConfig(
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         queue_capacity=args.queue_capacity,
         max_loaded_models=args.max_loaded_models,
         scheduling_policy=args.scheduling_policy,
@@ -504,7 +501,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServingConfig(
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         queue_capacity=args.queue_capacity,
         max_loaded_models=args.max_loaded_models,
         scheduling_policy=args.scheduling_policy,
@@ -585,7 +581,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     sequential = [hmm.decode(seq) for seq in sequences]
     sequential_seconds = time.perf_counter() - started
 
-    config = ServingConfig(max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms)
+    config = ServingConfig(max_batch_size=args.max_batch_size)
     with TaggingService(hmm, config=config) as service:
         started = time.perf_counter()
         batched = service.tag_many(sequences)
@@ -672,7 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the offline compiled-corpus path",
     )
     tag.add_argument("--max-batch-size", type=int, default=serving_defaults.max_batch_size)
-    tag.add_argument("--max-wait-ms", type=float, default=serving_defaults.max_wait_ms)
     tag.add_argument(
         "--batch-size",
         type=int,
@@ -705,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-loaded-models", type=int, default=serving_defaults.max_loaded_models
     )
     route.add_argument("--max-batch-size", type=int, default=serving_defaults.max_batch_size)
-    route.add_argument("--max-wait-ms", type=float, default=serving_defaults.max_wait_ms)
     route.add_argument(
         "--scheduling-policy",
         choices=SCHEDULING_POLICIES,
@@ -750,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-loaded-models", type=int, default=serving_defaults.max_loaded_models
     )
     serve.add_argument("--max-batch-size", type=int, default=serving_defaults.max_batch_size)
-    serve.add_argument("--max-wait-ms", type=float, default=serving_defaults.max_wait_ms)
     serve.add_argument(
         "--scheduling-policy",
         choices=SCHEDULING_POLICIES,
@@ -800,7 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--length", type=int, default=12)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--max-batch-size", type=int, default=serving_defaults.max_batch_size)
-    bench.add_argument("--max-wait-ms", type=float, default=serving_defaults.max_wait_ms)
     bench.add_argument("--out", help="also write the JSON report to this path")
     bench.set_defaults(func=_cmd_bench)
     return parser

@@ -21,6 +21,9 @@ Balancer fallback (``reuse_port=False`` or unsupported platform)
     idempotent work, and sticky routing for streams — ``POST /v1/streams``
     responses are inspected for their ``stream_id`` and subsequent
     ``push``/``finish`` calls pin to the worker that owns the session.
+    It reads requests with the workers' own reader, so
+    ``ServingConfig.request_timeout_s`` bounds them the same way: a
+    client stalling mid-request gets 408, an idle one is closed.
 
 The parent supervises its children: a worker that dies unexpectedly is
 respawned (up to ``max_restarts`` across the cluster's lifetime) and, in
@@ -48,9 +51,14 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.lockorder import make_lock
-from repro.core.config import ServingConfig
+from repro.core.config import ServingConfig, get_serving_config
 from repro.exceptions import ServingError, ValidationError
-from repro.serving.http import _MAX_BODY_BYTES, _STATUS_PHRASES, HTTPServingServer
+from repro.serving.http import (
+    _STATUS_PHRASES,
+    HTTPServingServer,
+    _HTTPError,
+    _RequestReader,
+)
 from repro.serving.observability import new_trace_id
 from repro.serving.registry import ModelRegistry
 
@@ -207,7 +215,10 @@ class ClusterServer:
             backends = [
                 ("127.0.0.1", ports[index]) for index in range(self.n_workers)
             ]
-            self._balancer = _Balancer(self.host, self.port, backends)
+            self._balancer = _Balancer(
+                self.host, self.port, backends,
+                request_timeout_s=(self.config or get_serving_config()).request_timeout_s,
+            )
             self._balancer.start()
             self.port = self._balancer.port
         self._monitor = threading.Thread(
@@ -361,11 +372,15 @@ class _Balancer:
         host: str,
         port: int,
         backends: Sequence[tuple[str, int]],
+        request_timeout_s: float | None,
         probe_interval_s: float = 0.25,
         relay_timeout_s: float = 60.0,
     ) -> None:
         self.host = host
         self.port = port
+        #: bound on a client's idle keep-alive wait and on reading one
+        #: request (``ServingConfig.request_timeout_s``).
+        self._request_timeout_s = request_timeout_s
         self._backends: dict[int, tuple[str, int]] = dict(enumerate(backends))
         # Workers reported ready before the balancer starts, so begin with
         # everyone admitted; the probe loop takes over from there.
@@ -454,37 +469,25 @@ class _Balancer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        timeout = self._request_timeout_s
+        requests = _RequestReader(
+            reader, writer, timeout,
+            stalled=lambda: _render_relayed(
+                *_balancer_error(408, f"request not received within {timeout}s"),
+                keep_alive=False,
+            ),
+        )
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or request_line in (b"\r\n", b"\n"):
-                    break
                 try:
-                    method, target, _version = (
-                        request_line.decode("latin1").rstrip("\r\n").split(" ", 2)
-                    )
-                except ValueError:
-                    status, head, body = _balancer_error(400, "malformed request line")
+                    request = await requests.next()
+                except _HTTPError as exc:
+                    status, head, body = _balancer_error(exc.status, str(exc))
                     await self._send(writer, status, head, body, keep_alive=False)
                     break
-                headers: dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length", "0") or 0)
-                except ValueError:
-                    length = -1
-                if length < 0 or length > _MAX_BODY_BYTES:
-                    status, head, body = _balancer_error(
-                        400, "malformed Content-Length header"
-                    )
-                    await self._send(writer, status, head, body, keep_alive=False)
+                if request is None:
                     break
-                body = await reader.readexactly(length) if length else b""
+                method, target, headers, body = request
                 keep_alive = headers.get("connection", "").lower() != "close"
                 status, head, payload = await self._relay(
                     method, target, headers, body
@@ -634,17 +637,23 @@ class _Balancer:
         body: bytes,
         keep_alive: bool,
     ) -> None:
-        phrase = _STATUS_PHRASES.get(status, "Unknown")
-        connection = "keep-alive" if keep_alive else "close"
-        extra = "".join(f"{name}: {value}\r\n" for name, value in headers)
-        head = (
-            f"HTTP/1.1 {status} {phrase}\r\n"
-            f"{extra}"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {connection}\r\n\r\n"
-        )
-        writer.write(head.encode("latin1") + body)
+        writer.write(_render_relayed(status, headers, body, keep_alive))
         await writer.drain()
+
+
+def _render_relayed(
+    status: int, headers: list[tuple[str, str]], body: bytes, keep_alive: bool
+) -> bytes:
+    phrase = _STATUS_PHRASES.get(status, "Unknown")
+    connection = "keep-alive" if keep_alive else "close"
+    extra = "".join(f"{name}: {value}\r\n" for name, value in headers)
+    head = (
+        f"HTTP/1.1 {status} {phrase}\r\n"
+        f"{extra}"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {connection}\r\n\r\n"
+    )
+    return head.encode("latin1") + body
 
 
 def _extract_stream_id(payload: bytes) -> str | None:

@@ -36,8 +36,11 @@ Error mapping: validation failures are ``400``, unknown routes/streams
 circuit breaker / a draining or failed server / a request that outlived
 ``ServingConfig.request_timeout_s`` all ``503`` (+ ``Retry-After``),
 expired deadlines ``504``, anything else ``500`` — always as
-``{"error": <message>}``.  ``/healthz`` reports the dispatcher health
-state machine: ``ok``/``degraded`` are 200, ``failed``/``draining`` 503.
+``{"error": <message>}``.  ``request_timeout_s`` also bounds the
+transport: a client that stalls mid-request gets ``408``, and a
+connection idle that long between requests is closed.  ``/healthz``
+reports the dispatcher health state machine: ``ok``/``degraded`` are
+200, ``failed``/``draining`` 503.
 
 Every response carries an ``X-Trace-Id`` header: a well-formed inbound
 ``X-Trace-Id`` is adopted, anything else replaced by a fresh ID.  The same
@@ -58,6 +61,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -85,6 +89,7 @@ _STATUS_PHRASES = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -110,11 +115,146 @@ def _retry_after_header(seconds: float | None) -> dict[str, str]:
 
 
 class _HTTPError(ServingError):
-    """A request failure that already knows its HTTP status code."""
+    """A request failure that already knows its HTTP status code.
 
-    def __init__(self, status: int, message: str) -> None:
+    ``trace_id`` is the request's well-formed inbound ``X-Trace-Id``, when
+    one was read before the failure.
+    """
+
+    def __init__(self, status: int, message: str, trace_id: str | None = None) -> None:
         super().__init__(message)
         self.status = status
+        self.trace_id = trace_id
+
+
+async def _read_request(
+    first: bytes, reader: asyncio.StreamReader
+) -> tuple[str, str, dict[str, str], bytes] | None:
+    """Read the rest of one request whose first byte has arrived.
+
+    Returns ``(method, target, headers, body)`` with lower-cased header
+    names, or ``None`` for a blank line (the client ends the connection).
+    A malformed request line or ``Content-Length`` raises
+    :class:`_HTTPError` (400, or 413 past ``_MAX_BODY_BYTES``).
+    """
+    request_line = first if first == b"\n" else first + await reader.readline()
+    if request_line in (b"\r\n", b"\n"):
+        return None
+    try:
+        method, target, _version = (
+            request_line.decode("latin1").rstrip("\r\n").split(" ", 2)
+        )
+    except ValueError:
+        raise _HTTPError(400, "malformed request line") from None
+    headers: dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    try:
+        length = int(headers.get("content-length", "0") or 0)
+    except ValueError:
+        length = -1
+    trace_id = clean_trace_id(headers.get("x-trace-id"))
+    if length < 0:
+        raise _HTTPError(400, "malformed Content-Length header", trace_id)
+    if length > _MAX_BODY_BYTES:
+        raise _HTTPError(413, "request body too large", trace_id)
+    body = await reader.readexactly(length) if length else b""
+    return method, target, headers, body
+
+
+class _RequestReader:
+    """Reads the requests of one keep-alive connection within a time bound.
+
+    ``timeout`` (``ServingConfig.request_timeout_s``; ``None`` waits
+    forever) bounds the idle wait for a request's first byte and, from
+    that byte on, the reading of the whole request (line, headers, body);
+    without it a slowloris client would hold its handler and socket
+    forever.  One timer, re-armed for each phase, enforces both instead of
+    a task per read.  On expiry it writes ``stalled()`` (the 408 response)
+    if part of a request arrived, and closes the transport either way,
+    which ends the pending read with EOF.
+    """
+
+    def __init__(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        timeout: float | None,
+        stalled: Callable[[], bytes],
+    ) -> None:
+        self._reader = reader
+        self._writer = writer
+        self._timeout = timeout
+        self._stalled = stalled
+        self._timer: asyncio.TimerHandle | None = None
+        self._expired = False
+
+    async def next(self) -> tuple[str, str, dict[str, str], bytes] | None:
+        """The next request, or ``None`` once the connection is done.
+
+        A malformed request raises :class:`_HTTPError`.
+        """
+        try:
+            self._arm(partial=False)
+            first = await self._reader.read(1)
+            if not first:
+                return None
+            self._arm(partial=True)
+            request = await _read_request(first, self._reader)
+        except (asyncio.IncompleteReadError, _HTTPError):
+            if self._expired:
+                return None  # cut short by the timer, which answered
+            raise
+        finally:
+            if self._timer is not None:
+                self._timer.cancel()
+        return None if self._expired else request
+
+    def _arm(self, partial: bool) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        if self._timeout is not None:
+            self._timer = asyncio.get_running_loop().call_later(
+                self._timeout, self._expire, partial
+            )
+
+    def _expire(self, partial: bool) -> None:
+        self._expired = True
+        if partial and not self._writer.is_closing():
+            self._writer.write(self._stalled())
+        self._writer.close()
+
+
+def _render_response(
+    status: int,
+    payload: dict | str,
+    keep_alive: bool = False,
+    headers: dict[str, str] | None = None,
+) -> bytes:
+    if isinstance(payload, str):
+        # Prometheus text exposition (the only non-JSON payload).
+        data = payload.encode()
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
+    else:
+        data = json.dumps(payload).encode()
+        content_type = "application/json"
+    phrase = _STATUS_PHRASES.get(status, "Unknown")
+    connection = "keep-alive" if keep_alive else "close"
+    extra = "".join(
+        f"{name}: {value}\r\n" for name, value in (headers or {}).items()
+    )
+    head = (
+        f"HTTP/1.1 {status} {phrase}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(data)}\r\n"
+        f"{extra}"
+        f"Connection: {connection}\r\n\r\n"
+    )
+    return head.encode("latin1") + data
 
 
 class HTTPServingServer:
@@ -320,49 +460,30 @@ class HTTPServingServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        timeout = self.config.request_timeout_s
+        requests = _RequestReader(
+            reader, writer, timeout,
+            stalled=lambda: _render_response(
+                408, {"error": f"request not received within {timeout}s"},
+                headers={"X-Trace-Id": new_trace_id()},
+            ),
+        )
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or request_line in (b"\r\n", b"\n"):
-                    break
-                trace_id = new_trace_id()
                 try:
-                    method, target, _version = (
-                        request_line.decode("latin1").rstrip("\r\n").split(" ", 2)
-                    )
-                except ValueError:
+                    request = await requests.next()
+                except _HTTPError as exc:
                     await self._respond(
-                        writer, 400, {"error": "malformed request line"},
-                        headers={"X-Trace-Id": trace_id},
+                        writer, exc.status, {"error": str(exc)},
+                        headers={"X-Trace-Id": exc.trace_id or new_trace_id()},
                     )
                     break
-                headers: dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
+                if request is None:
+                    break
+                method, target, headers, body = request
                 # Adopt a well-formed inbound trace ID (client/balancer
-                # correlation); anything malformed keeps the fresh one.
-                trace_id = clean_trace_id(headers.get("x-trace-id")) or trace_id
-                try:
-                    length = int(headers.get("content-length", "0") or 0)
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    await self._respond(
-                        writer, 400, {"error": "malformed Content-Length header"},
-                        headers={"X-Trace-Id": trace_id},
-                    )
-                    break
-                if length > _MAX_BODY_BYTES:
-                    await self._respond(
-                        writer, 413, {"error": "request body too large"},
-                        headers={"X-Trace-Id": trace_id},
-                    )
-                    break
-                body = await reader.readexactly(length) if length else b""
+                # correlation); anything malformed gets a fresh one.
+                trace_id = clean_trace_id(headers.get("x-trace-id")) or new_trace_id()
                 status, payload, extra_headers = await self._dispatch(
                     method, target, body, trace_id
                 )
@@ -397,26 +518,7 @@ class HTTPServingServer:
         keep_alive: bool = False,
         headers: dict[str, str] | None = None,
     ) -> None:
-        if isinstance(payload, str):
-            # Prometheus text exposition (the only non-JSON payload).
-            data = payload.encode()
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            data = json.dumps(payload).encode()
-            content_type = "application/json"
-        phrase = _STATUS_PHRASES.get(status, "Unknown")
-        connection = "keep-alive" if keep_alive else "close"
-        extra = "".join(
-            f"{name}: {value}\r\n" for name, value in (headers or {}).items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {phrase}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            f"{extra}"
-            f"Connection: {connection}\r\n\r\n"
-        )
-        writer.write(head.encode("latin1") + data)
+        writer.write(_render_response(status, payload, keep_alive, headers))
         await writer.drain()
 
     # -------------------------------------------------------------- #

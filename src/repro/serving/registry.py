@@ -8,19 +8,23 @@ Layout (all paths relative to the registry root)::
             v0002/  ...
 
 Versions are monotonically increasing integers assigned at save time; the
-latest version is simply the largest one present.  The registry is a thin
-convention over :mod:`repro.serving.persistence` — each version directory
-is a plain artifact, loadable with :func:`~repro.serving.persistence.load_artifact`
-even without going through the registry.
+latest version is simply the largest one present, cached per name behind
+one ``stat`` of the model directory (see :meth:`ModelRegistry.latest_version`).
+The registry is a thin convention over :mod:`repro.serving.persistence` —
+each version directory is a plain artifact, loadable with
+:func:`~repro.serving.persistence.load_artifact` even without going
+through the registry.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import shutil
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.analysis.lockorder import make_lock
 from repro.exceptions import ValidationError
 from repro.serving import faults
 from repro.serving.persistence import (
@@ -49,6 +53,10 @@ class ModelRegistry:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        self._latest_lock = make_lock("registry.latest")
+        #: name -> (model-directory stamp, latest version) of the last scan
+        #: that found no version directory above its latest complete one.
+        self._latest: dict[str, tuple[tuple[int, ...], int]] = {}  # repro: guarded-by[_latest_lock]
 
     # -------------------------------------------------------------- #
     def _model_dir(self, name: str) -> Path:
@@ -73,24 +81,68 @@ class ModelRegistry:
             if entry.is_dir() and _NAME_RE.match(entry.name) and self.versions(entry.name)
         )
 
-    def versions(self, name: str) -> list[int]:
-        """All stored versions of a model (sorted ascending)."""
+    def _scan(self, name: str) -> tuple[list[int], int]:
+        """Complete versions (sorted) and the highest version directory.
+
+        A version directory is complete once its manifest exists; the
+        highest number counts incomplete ones too (a save still writing,
+        or one that crashed before its manifest landed).
+        """
         model_dir = self._model_dir(name)
         if not model_dir.is_dir():
-            return []
-        found = []
+            return [], 0
+        found, highest = [], 0
         for entry in model_dir.iterdir():
             match = _VERSION_RE.match(entry.name)
-            if match and (entry / MANIFEST_NAME).is_file():
-                found.append(int(match.group(1)))
-        return sorted(found)
+            if match:
+                number = int(match.group(1))
+                highest = max(highest, number)
+                if (entry / MANIFEST_NAME).is_file():
+                    found.append(number)
+        return sorted(found), highest
+
+    def versions(self, name: str) -> list[int]:
+        """All stored versions of a model (sorted ascending)."""
+        return self._scan(name)[0]
 
     def latest_version(self, name: str) -> int:
-        """The newest stored version of a model."""
-        versions = self.versions(name)
+        """The newest stored version of a model, as of this call.
+
+        Costs one ``os.stat`` while the model directory is unchanged.  Each
+        name's latest version is cached with a stamp of its model
+        directory (``st_ino``, ``st_mtime_ns``, ``st_ctime_ns``,
+        ``st_nlink``, ``st_size``), taken *before* the scan it describes.
+        A call whose stamp matches the cached one returns the cached
+        version; any other call rescans.  Creating or deleting a version
+        directory — a save from any process, :meth:`gc`, a deletion by
+        hand — changes the stamp.  A save writes its manifest last, inside
+        the version directory, which leaves the stamp alone: so a scan
+        that finds a version directory numbered above the newest complete
+        one is not cached, and every call rescans until that manifest
+        lands (a crashed save thus costs one scan per call).
+        """
+        stamp: tuple[int, ...] | None = None
+        try:
+            info = os.stat(self._model_dir(name))
+        except OSError:
+            pass  # no model directory: the scan below reports it
+        else:
+            stamp = (
+                info.st_ino, info.st_mtime_ns, info.st_ctime_ns,
+                info.st_nlink, info.st_size,
+            )
+            with self._latest_lock:
+                cached = self._latest.get(name)
+            if cached is not None and cached[0] == stamp:
+                return cached[1]
+        versions, highest = self._scan(name)
         if not versions:
             raise ValidationError(f"no versions of model {name!r} in {self.root}")
-        return versions[-1]
+        latest = versions[-1]
+        if stamp is not None and highest == latest:
+            with self._latest_lock:
+                self._latest[name] = (stamp, latest)
+        return latest
 
     def artifact_path(self, name: str, version: int | None = None) -> Path:
         """Directory of one stored artifact (latest version by default)."""

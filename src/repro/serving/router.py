@@ -111,8 +111,10 @@ class Router(MicroBatchScheduler):
         A :class:`~repro.serving.registry.ModelRegistry` or its root path.
     config:
         Batching, backpressure and cache knobs (``max_batch_size``,
-        ``max_wait_ms``, ``queue_capacity``, ``max_loaded_models``);
-        defaults to the process-wide serving configuration.
+        ``queue_capacity``, ``max_loaded_models``); defaults to the
+        process-wide serving configuration.  Batching is continuous: an
+        idle dispatcher computes a request at once, and requests that
+        queue while it is busy form the next batch.
 
     Examples
     --------
@@ -160,9 +162,10 @@ class Router(MicroBatchScheduler):
         Unknown names/versions fail here, in the client thread, instead of
         poisoning a queued batch.  Explicit versions that are already
         resident skip the registry I/O entirely (version directories are
-        immutable, so residency proves existence); ``version=None`` always
-        rescans so "latest" means latest *now*, not latest-at-load-time —
-        pin a version to avoid the per-request directory scan.
+        immutable, so residency proves existence).  ``version=None`` asks
+        :meth:`~repro.serving.registry.ModelRegistry.latest_version`, so
+        "latest" means latest *now*, not latest-at-load-time; while the
+        model directory is unchanged that costs one ``stat``, not a scan.
 
         A key whose circuit breaker is open (and still cooling down)
         fast-fails right here with

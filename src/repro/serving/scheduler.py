@@ -6,9 +6,11 @@ and the service-specific compute callback:
 
 * a **bounded intake queue** (``ServingConfig.queue_capacity``) whose
   overflow fast-fails with :class:`~repro.exceptions.QueueFullError`;
-* a single **dispatcher thread** per scheduler that drains the intake
-  queue, waits up to ``max_wait_ms`` for stragglers, and hands batches of
-  at most ``max_batch_size`` requests to the service's ``_execute`` hook;
+* a single **dispatcher thread** per scheduler that batches continuously:
+  it dispatches as soon as it is free, and a batch is whatever queued up
+  while the previous one computed (at most ``max_batch_size`` requests,
+  handed to the service's ``_execute`` hook) — no timer, so a lone request
+  on an idle engine goes straight to compute;
 * a pluggable :class:`SchedulingPolicy` deciding *which* pending requests
   form the next batch — :class:`FIFOPolicy` (arrival order, the default
   and behavior-identical to the pre-policy dispatcher),
@@ -442,9 +444,8 @@ class MicroBatchScheduler:
     Subclasses implement :meth:`_execute` (compute one micro-batch of
     *live* requests and resolve their futures) and call :meth:`_start`
     once their own state is ready.  Everything else — thread-safe bounded
-    submission, straggler coalescing with ``max_wait_ms``, policy-ordered
-    batch formation, deadline expiry before compute, drain-on-close —
-    lives here.
+    submission, continuous batching, policy-ordered batch formation,
+    deadline expiry before compute, drain-on-close — lives here.
     """
 
     _thread_name = "repro-serving-dispatcher"
@@ -594,34 +595,22 @@ class MicroBatchScheduler:
     # Dispatcher
     # -------------------------------------------------------------- #
     def _coalesce(self) -> bool:
-        """Pull queued requests into the policy's pending buffer.
+        """Pull everything queued into the policy's pending buffer.
 
-        Fast-drains whatever is already queued without touching the clock
-        (under burst load this fills the whole batch with no timed waits at
-        all); once the queue runs dry with fewer than ``max_batch_size``
-        requests pending, waits up to ``max_wait_ms`` for stragglers.  The
-        entire available backlog is drained — not just one batch's worth —
-        so the policy ranks *all* pending requests when it forms the next
-        batch.
+        Continuous batching: no timer.  The dispatcher takes what arrived
+        while it was busy computing the previous batch, so an idle engine
+        serves a lone request at once and a loaded one batches exactly the
+        backlog it could not serve yet.  The entire backlog is drained —
+        not just one batch's worth — so the policy ranks *all* pending
+        requests when it forms the next batch.
 
         Returns True when the shutdown sentinel was consumed.
         """
-        deadline: float | None = None  # set lazily on the first empty poll
         while True:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
-                if len(self._policy) >= self.config.max_batch_size:
-                    return False  # a full batch is ready; don't wait
-                if deadline is None:
-                    deadline = time.perf_counter() + self.config.max_wait_ms / 1000.0
-                timeout = deadline - time.perf_counter()
-                if timeout <= 0:
-                    return False
-                try:
-                    item = self._queue.get(timeout=timeout)
-                except queue.Empty:
-                    return False
+                return False
             if item is None:
                 return True
             self._policy.push(item)

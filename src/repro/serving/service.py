@@ -15,7 +15,7 @@ micro-batching amortizes it across the batch — that gap is measured by
 
 Queueing policy — bounded-queue backpressure
 (:class:`~repro.exceptions.QueueFullError`), per-request deadlines
-(:class:`~repro.exceptions.DeadlineExceededError`), straggler coalescing
+(:class:`~repro.exceptions.DeadlineExceededError`), continuous batching
 and the pluggable batch-ordering :class:`~repro.serving.scheduler.SchedulingPolicy`
 (``ServingConfig.scheduling_policy``) — lives entirely in the scheduler
 layer; this module contributes only the per-model compute (coalesced
@@ -43,6 +43,7 @@ from repro.serving.scheduler import (
     Request,
     ServiceStats,
 )
+from repro.utils.validation import group_by_dtype_kind
 
 __all__ = ["TaggingService", "ServiceStats"]
 
@@ -70,16 +71,24 @@ class _ModelExecutor:
         # or the scheduler's supervisor — instead of being re-run per
         # request.
         faults.fire(faults.EXECUTOR_RUN)
-        try:
-            outcomes = self._compute_coalesced(batch)
-        except Exception:
-            # The batched call failed somewhere (typically one malformed
-            # sequence poisoning the shared emission-table call).  Re-run
-            # each request on its own so only the offending ones fail.
-            # Control-flow exceptions (KeyboardInterrupt, SystemExit) are
-            # deliberately NOT caught: they must stop the dispatcher, not
-            # be swallowed into a client future.
-            outcomes = self._compute_individually(batch)
+        outcomes: list[tuple[bool, Any]] = [(True, None)] * len(batch)
+        # One coalesced call per dtype kind (one call for a homogeneous
+        # batch): concatenating a bool request with integer ones would cast
+        # it to int before the emission family's dtype check judged it.
+        for idx in group_by_dtype_kind([r.sequence for r in batch]):
+            part = [batch[i] for i in idx]
+            try:
+                part_outcomes = self._compute_coalesced(part)
+            except Exception:
+                # The batched call failed somewhere (typically one malformed
+                # sequence poisoning the shared emission-table call).
+                # Re-run each request on its own so only the offending ones
+                # fail.  Control-flow exceptions (KeyboardInterrupt,
+                # SystemExit) are deliberately NOT caught: they must stop
+                # the dispatcher, not be swallowed into a client future.
+                part_outcomes = self._compute_individually(part)
+            for i, outcome in zip(idx, part_outcomes):
+                outcomes[i] = outcome
         # Record stats before resolving the futures: a client unblocked by
         # its result may snapshot the stats immediately, and the batch that
         # produced that result must already be counted.
@@ -153,9 +162,11 @@ class TaggingService(MicroBatchScheduler):
         An :class:`~repro.hmm.model.HMM` or a fitted estimator wrapper.
     config:
         Batching and backpressure knobs (``max_batch_size``,
-        ``max_wait_ms``, ``queue_capacity``, ``scheduling_policy``);
-        defaults to the process-wide
-        :func:`~repro.core.config.get_serving_config`.
+        ``queue_capacity``, ``scheduling_policy``); defaults to the
+        process-wide :func:`~repro.core.config.get_serving_config`.  There
+        is no batching timer: a request reaching an idle dispatcher is
+        computed at once, and requests that queue while it is busy form
+        the next batch.
 
     Use as a context manager (or call :meth:`close`) so the dispatcher
     thread is joined deterministically; queued requests are still served

@@ -24,10 +24,33 @@ from repro.core.config import get_serving_config
 from repro.exceptions import ValidationError
 from repro.hmm.backends import StreamStep
 from repro.serving.persistence import resolve_hmm
+from repro.utils.validation import group_by_dtype_kind
 
 #: "Use the ServingConfig default" marker for ``lag`` parameters, distinct
 #: from ``None`` (which means *infinite* lag: defer all labels to finish).
 _UNSET = object()
+
+
+def _score_observations(emissions: Any, observations: Sequence[np.ndarray]) -> np.ndarray:
+    """Emission log-likelihood rows of single observations, one per input.
+
+    A stack of single timesteps is just a sequence to the emission family,
+    so one scoring call covers every observation of one dtype kind.
+    Stacking kinds together would cast them to one dtype (a bool to an
+    int) before the family's dtype check judged each observation, so a
+    mixed tick makes one call per kind.
+    """
+    groups = group_by_dtype_kind(observations)
+    if len(groups) == 1:
+        return emissions.log_likelihoods(np.stack(observations))
+    parts = [
+        (idx, emissions.log_likelihoods(np.stack([observations[i] for i in idx])))
+        for idx in groups
+    ]
+    rows = np.empty((len(observations),) + parts[0][1].shape[1:])
+    for idx, part in parts:
+        rows[idx] = part
+    return rows
 
 
 @dataclass
@@ -146,7 +169,7 @@ class PooledStream:
         wave = [np.asarray(obs) for obs in observations]
         if not wave:
             raise ValidationError("push_wave requires at least one observation")
-        log_rows = self._pool._emissions.log_likelihoods(np.stack(wave))
+        log_rows = _score_observations(self._pool._emissions, wave)
         steps = []
         for row in log_rows:
             step = self._pool._session.step_many(row[None, ...], [self._slot])[0]
@@ -261,11 +284,11 @@ class StreamPool:
                 raise ValidationError("stream belongs to a different pool")
             if stream._finished:
                 raise ValidationError("cannot push to a finished stream")
-        # One emission call scores all M observations at once: a stack of
-        # single timesteps is just an M-step sequence to the emission
-        # family, and per-row scoring is identical to scoring one by one.
-        stacked = np.array([obs for _, obs in items])
-        log_rows = self._emissions.log_likelihoods(stacked)
+        # One emission call scores all M observations at once (one per
+        # dtype kind); per-row scoring is identical to scoring one by one.
+        log_rows = _score_observations(
+            self._emissions, [np.asarray(obs) for _, obs in items]
+        )
         steps = self._session.step_many(log_rows, [s._slot for s, _ in items])
         for (stream, _), step in zip(items, steps):
             stream._state.record(step)

@@ -54,7 +54,12 @@ from repro.hmm.backends import StreamStep
 from repro.serving import faults
 from repro.serving.persistence import resolve_hmm
 from repro.serving.scheduler import MicroBatchScheduler, Request
-from repro.serving.streaming import _UNSET, StreamResult, _StreamState
+from repro.serving.streaming import (
+    _UNSET,
+    StreamResult,
+    _score_observations,
+    _StreamState,
+)
 
 _OPEN = "open"
 _PUSH = "push"
@@ -316,8 +321,9 @@ class StreamingService(MicroBatchScheduler):
                 # fallback must absorb it with every stream's output
                 # unchanged.
                 faults.fire(faults.STREAM_TICK)
-                stacked = np.stack([fronts[i][t] for i in active])
-                rows = self._emissions.log_likelihoods(stacked)
+                rows = _score_observations(
+                    self._emissions, [fronts[i][t] for i in active]
+                )
                 tick_steps = self._session.step_many(
                     rows, [slots[i] for i in active]
                 )

@@ -130,3 +130,18 @@ def check_binary_sequences(sequences, name: str = "sequences", n_features: int |
     if not out:
         raise ValidationError(f"{name} must contain at least one sequence")
     return out
+
+
+def group_by_dtype_kind(arrays: Sequence[np.ndarray]) -> list[list[int]]:
+    """Indices of ``arrays`` grouped by dtype kind, groups in first-seen order.
+
+    Merging arrays of different kinds (``np.concatenate``, ``np.stack``)
+    casts them to one dtype — a bool to an int, an int to a float — so a
+    dtype check on the merged array judges the cast, not the inputs.
+    Merge within each group instead: every array keeps its own kind, and
+    a homogeneous input is a single group.
+    """
+    groups: dict[str, list[int]] = {}
+    for index, array in enumerate(arrays):
+        groups.setdefault(array.dtype.kind, []).append(index)
+    return list(groups.values())

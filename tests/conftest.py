@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,39 @@ def _lock_order_gate():
     tracker = get_tracker()
     if tracker is not None:
         tracker.assert_clean()
+
+
+@contextmanager
+def _held_dispatcher():
+    """Hold the next serving dispatch with its batch in flight.
+
+    Arms the ``DISPATCHER_LOOP`` fault point with a gate: the first batch
+    any scheduler dispatches inside the block waits there, and requests
+    submitted meanwhile queue up behind it.  Yields the event that is set
+    once the dispatcher is held; leaving the block releases it.  This is
+    the deterministic way to make requests share one batch, since the
+    scheduler dispatches as soon as it is idle.
+    """
+    from repro.serving import faults
+
+    held, release = threading.Event(), threading.Event()
+
+    def gate(payload):
+        held.set()
+        assert release.wait(timeout=30), "test never released the dispatcher"
+        return payload
+
+    try:
+        with faults.inject(faults.DISPATCHER_LOOP, corrupt=gate, n_failures=1):
+            yield held
+    finally:
+        release.set()
+
+
+@pytest.fixture
+def hold_dispatcher():
+    """Context-manager factory; see :func:`_held_dispatcher`."""
+    return _held_dispatcher
 
 
 @pytest.fixture(scope="session")

@@ -418,7 +418,7 @@ class TestGracefulDrain:
     def test_drain_deadline_sheds_backlog_but_finishes_in_flight(self, sequences):
         model = _gated_hmm(0)
         gate = model.emissions
-        config = ServingConfig(max_batch_size=1, max_wait_ms=0.0)
+        config = ServingConfig(max_batch_size=1)
         service = TaggingService(model, config=config)
         try:
             in_flight = service.submit_tag(sequences[0])

@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -18,6 +19,7 @@ from repro.serving import (
     StreamingDecoder,
     reuse_port_supported,
 )
+from repro.serving.cluster import _Balancer
 
 
 def _random_hmm(seed, n_states=4, n_symbols=8):
@@ -167,6 +169,24 @@ class TestClusterServing:
 
 
 class TestClusterLifecycle:
+    def test_balancer_times_out_a_stalled_client(self):
+        """Regression: the balancer's request reader had no bound, so a
+        client that sent half a request line held its socket forever."""
+        balancer = _Balancer("127.0.0.1", 0, backends=[], request_timeout_s=0.5)
+        balancer.start()
+        try:
+            address = ("127.0.0.1", balancer.port)
+            with socket.create_connection(address, timeout=3) as sock:
+                started = time.monotonic()
+                sock.sendall(b"GET /heal")
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            assert time.monotonic() - started < 2.0
+            assert reply.startswith(b"HTTP/1.1 408 ")
+        finally:
+            balancer.close()
+
     def test_n_workers_validated(self, tmp_path):
         with pytest.raises(ValidationError, match="n_workers"):
             ClusterServer(tmp_path / "registry", n_workers=0)

@@ -4,8 +4,10 @@ import gc
 import http.client
 import json
 import logging
+import socket
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -70,6 +72,38 @@ def _error_status(fn):
     with excinfo.value as error:
         body = json.loads(error.read())
     return error.code, body
+
+
+def _post_in_thread(server, path, payload, results, key):
+    """POST from a client thread; ``results[key]`` = (status, body)."""
+
+    def run():
+        try:
+            results[key] = _post(server, path, payload)
+        except urllib.error.HTTPError as error:
+            with error:
+                results[key] = (error.code, json.loads(error.read()))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def _read_until_closed(sock):
+    """Everything the server sends before closing (raises on a timeout)."""
+    chunks = []
+    while True:
+        chunk = sock.recv(4096)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
 
 
 class TestCoreEndpoints:
@@ -204,6 +238,73 @@ class TestNonIntegerSymbols:
         assert status == 200 and len(step["filtering"]) == 4
 
 
+    def test_bool_sequence_batched_with_integers_is_400(
+        self, tmp_path, models, hold_dispatcher
+    ):
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.save("alpha", models["alpha"])
+        results: dict = {}
+        with HTTPServingServer(registry, port=0) as server:
+            tag = "/v1/models/alpha/tag"
+            with hold_dispatcher() as held:
+                threads = [
+                    _post_in_thread(server, tag, {"sequence": [0, 1]}, results, "held")
+                ]
+                assert held.wait(timeout=10)
+                threads += [
+                    _post_in_thread(server, tag, {"sequence": [1, 2, 3]}, results, "ints"),
+                    _post_in_thread(
+                        server, tag, {"sequence": [True, False]}, results, "bools"
+                    ),
+                ]
+                # both requests queue behind the held one: they form one batch
+                _wait_until(lambda: server.router.queue_depth == 2)
+            for thread in threads:
+                thread.join(timeout=10)
+        status, body = results["bools"]
+        assert status == 400 and "integer" in body["error"]
+        status, body = results["ints"]
+        assert status == 200
+        assert body["tags"] == [
+            int(s) for s in models["alpha"].decode(np.asarray([1, 2, 3]))
+        ]
+
+    def test_bool_push_in_an_integer_tick_is_400(
+        self, tmp_path, models, hold_dispatcher
+    ):
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.save("alpha", models["alpha"])
+        results: dict = {}
+        with HTTPServingServer(registry, port=0) as server:
+            pushes = []
+            for _ in range(3):
+                _, opened = _post(server, "/v1/streams", {"model": "alpha", "lag": 4})
+                pushes.append(f"/v1/streams/{opened['stream_id']}/push")
+            service = server._stream_services[("alpha", 1)]
+            with hold_dispatcher() as held:
+                threads = [
+                    _post_in_thread(server, pushes[0], {"observation": 0}, results, "held")
+                ]
+                assert held.wait(timeout=10)
+                threads += [
+                    _post_in_thread(server, pushes[1], {"observation": 1}, results, "int"),
+                    _post_in_thread(
+                        server, pushes[2], {"observation": True}, results, "bool"
+                    ),
+                ]
+                # both pushes queue behind the held one: they form one tick
+                _wait_until(lambda: service.queue_depth == 2)
+            for thread in threads:
+                thread.join(timeout=10)
+        status, body = results["bool"]
+        assert status == 400 and "integer" in body["error"]
+        status, step = results["int"]
+        want = StreamingDecoder(models["alpha"], lag=4).push(1)
+        assert status == 200
+        assert step["filtering"] == [float(p) for p in want.filtering]
+        assert step["log_likelihood"] == float(want.log_likelihood)
+
+
 class TestStreaming:
     def test_stream_session_matches_decoder(self, server, models):
         observations = [0, 3, 1, 2, 4, 1, 5, 2]
@@ -285,6 +386,49 @@ class TestLifecycle:
                 gc.collect()
         finally:
             connection.close()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+        assert [str(u.exc_value) for u in unraisable] == []
+
+    def test_stalled_client_times_out_while_others_are_served(
+        self, tmp_path, models, caplog, monkeypatch
+    ):
+        """Regression: reads had no bound, so a client that sent half a
+        request line (or nothing) held its handler and socket forever."""
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.save("alpha", models["alpha"])
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        config = ServingConfig(request_timeout_s=0.5)
+        server = HTTPServingServer(registry, config=config, port=0).start()
+        address = (server.host, server.port)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            # the client timeouts turn a missing server timeout into a
+            # failure instead of a hang
+            with socket.create_connection(address, timeout=3) as stalled, \
+                    socket.create_connection(address, timeout=3) as idle:
+                started = time.monotonic()
+                stalled.sendall(b"POST /v1/models/al")
+                # a concurrent keep-alive client is served meanwhile
+                client = http.client.HTTPConnection(*address, timeout=3)
+                client.request(
+                    "POST", "/v1/models/alpha/tag",
+                    body=json.dumps({"sequence": [0, 1, 2]}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = client.getresponse()
+                assert response.status == 200
+                assert len(json.loads(response.read())["tags"]) == 3
+                reply = _read_until_closed(stalled)
+                assert time.monotonic() - started < 2.0
+                assert reply.startswith(b"HTTP/1.1 408 ")
+                # a connection that never sends is closed without a reply,
+                # and so is a keep-alive one idle after its request
+                assert _read_until_closed(idle) == b""
+                assert _read_until_closed(client.sock) == b""
+                assert time.monotonic() - started < 2.0
+                client.close()
+            server.close()
+            gc.collect()
         assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
         assert [str(u.exc_value) for u in unraisable] == []
 

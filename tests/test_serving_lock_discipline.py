@@ -51,9 +51,7 @@ class TestSchedulerLockOrder:
         """Queue-full rejections (stats writes) vs concurrent snapshots
         (stats -> lifecycle reads) — the exact pair behind the old ABBA."""
         model = _random_hmm()
-        config = ServingConfig(
-            max_batch_size=4, max_wait_ms=0.5, queue_capacity=2
-        )
+        config = ServingConfig(max_batch_size=4, queue_capacity=2)
         stop = threading.Event()
         errors: list[BaseException] = []
 
@@ -102,21 +100,24 @@ class TestSchedulerLockOrder:
         snapshot = service.stats.snapshot()
         assert snapshot["n_requests"] >= 1
 
-    def test_rejection_is_still_counted(self, armed_tracker):
+    def test_rejection_is_still_counted(self, armed_tracker, hold_dispatcher):
         """Moving record_rejected() out of the lifecycle lock must not lose
         the count."""
         model = _random_hmm(seed=2)
-        config = ServingConfig(
-            max_batch_size=1, max_wait_ms=50.0, queue_capacity=1
-        )
+        config = ServingConfig(max_batch_size=1, queue_capacity=1)
         with TaggingService(model, config=config) as service:
             rng = np.random.default_rng(3)
             rejected = 0
-            for _ in range(50):
-                try:
-                    service.submit_tag(rng.integers(0, 8, size=4))
-                except QueueFullError:
-                    rejected += 1
+            # with the dispatcher held on the first request, the second
+            # fills the queue and every later one is rejected
+            with hold_dispatcher() as held:
+                service.submit_tag(rng.integers(0, 8, size=4))
+                assert held.wait(timeout=10)
+                for _ in range(49):
+                    try:
+                        service.submit_tag(rng.integers(0, 8, size=4))
+                    except QueueFullError:
+                        rejected += 1
             assert rejected >= 1
             assert service.stats.snapshot()["n_rejected"] == rejected
         armed_tracker.assert_clean()

@@ -1,6 +1,12 @@
 """Persistence round-trips: artifacts, state dicts and the model registry."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +26,8 @@ from repro.hmm import (
     CategoricalEmission,
     GaussianEmission,
 )
-from repro.serving import ModelRegistry, load_artifact, save_artifact
+import repro
+from repro.serving import ModelRegistry, Router, load_artifact, save_artifact
 from repro.serving.persistence import MANIFEST_NAME, resolve_hmm
 
 
@@ -283,3 +290,156 @@ class TestModelRegistry:
         for bad in ("../evil", "a/b", ".hidden", ""):
             with pytest.raises(ValidationError, match="invalid model name"):
                 registry.save(bad, _random_hmm(0, "categorical"))
+
+
+#: Saves one categorical HMM (argv: registry root, name, seed) and prints
+#: its version: a save from another process.
+_SAVE_IN_CHILD = """
+import sys
+import numpy as np
+from repro.hmm import HMM, CategoricalEmission
+from repro.serving import ModelRegistry
+rng = np.random.default_rng(int(sys.argv[3]))
+model = HMM(
+    rng.dirichlet(np.ones(4)),
+    rng.dirichlet(np.ones(4), size=4),
+    CategoricalEmission(rng.dirichlet(np.ones(7), size=4)),
+)
+print(ModelRegistry(sys.argv[1]).save(sys.argv[2], model))
+"""
+
+
+def _save_in_subprocess(root, name, seed):
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", _SAVE_IN_CHILD, str(root), name, str(seed)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return int(done.stdout)
+
+
+class TestLatestVersionCache:
+    """``latest_version`` answers from a cache while one ``stat`` of the
+    model directory shows it unchanged, and rescans whenever it changed."""
+
+    @pytest.fixture
+    def registry(self, tmp_path):
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.save("m", _random_hmm(0, "categorical"))
+        return registry
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Counts directory scans (``Path.iterdir`` calls)."""
+        counter = {"n": 0}
+        real_iterdir = Path.iterdir
+
+        def counting_iterdir(self):
+            counter["n"] += 1
+            return real_iterdir(self)
+
+        monkeypatch.setattr(Path, "iterdir", counting_iterdir)
+        return counter
+
+    def test_unchanged_stamp_does_not_scan(self, registry, scans):
+        assert registry.latest_version("m") == 1
+        assert scans["n"] == 1
+        for _ in range(100):
+            assert registry.latest_version("m") == 1
+        assert scans["n"] == 1
+
+    def test_sees_a_save_from_this_process(self, registry):
+        assert registry.latest_version("m") == 1
+        assert registry.save("m", _random_hmm(1, "categorical")) == 2
+        assert registry.latest_version("m") == 2
+
+    def test_sees_a_save_from_another_process(self, registry):
+        assert registry.latest_version("m") == 1
+        assert _save_in_subprocess(registry.root, "m", seed=1) == 2
+        assert registry.latest_version("m") == 2
+
+    def test_version_without_manifest_is_ignored_until_it_lands(self, registry, scans):
+        assert registry.latest_version("m") == 1
+        pending = registry.root / "m" / "v0002"
+        pending.mkdir()  # a save in progress, or one that crashed
+        assert registry.latest_version("m") == 1
+        # never cached: every call rescans until the manifest lands
+        before = scans["n"]
+        assert registry.latest_version("m") == 1
+        assert registry.latest_version("m") == 1
+        assert scans["n"] == before + 2
+        # the manifest is written last, inside the version directory, so
+        # the model directory's stamp does not change when it lands
+        save_artifact(_random_hmm(2, "categorical"), pending)
+        assert registry.latest_version("m") == 2
+        before = scans["n"]
+        assert registry.latest_version("m") == 2
+        assert scans["n"] == before
+
+    def test_sees_gc(self, registry, scans):
+        for seed in (1, 2):
+            registry.save("m", _random_hmm(seed, "categorical"))
+        assert registry.latest_version("m") == 3
+        assert registry.gc(keep_last_n=1) == [("m", 1), ("m", 2)]
+        before = scans["n"]
+        assert registry.latest_version("m") == 3
+        assert scans["n"] == before + 1  # the stamp changed: one rescan
+        registry.load("m")
+
+    def test_sees_a_latest_version_deleted_by_hand(self, registry):
+        registry.save("m", _random_hmm(1, "categorical"))
+        assert registry.latest_version("m") == 2
+        shutil.rmtree(registry.root / "m" / "v0002")
+        assert registry.latest_version("m") == 1
+        registry.load("m")
+
+    def test_concurrent_readers_never_go_back_a_version(self, registry):
+        """Eight readers (more than the cores) resolve "latest" while a
+        saver adds versions: no reader ever sees the latest version go
+        back, and all agree on the final one."""
+        saves, errors = 6, []
+        seen: dict[int, list[int]] = {i: [] for i in range(8)}
+        stop = threading.Event()
+
+        def reader(index):
+            try:
+                while not stop.is_set():
+                    seen[index].append(registry.latest_version("m"))
+                seen[index].append(registry.latest_version("m"))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in seen]
+            for thread in threads:
+                thread.start()
+            for seed in range(saves):
+                registry.save("m", _random_hmm(seed, "categorical"))
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for versions in seen.values():
+            assert versions == sorted(versions)
+            assert versions[-1] == saves + 1
+
+    def test_unpinned_router_request_serves_a_version_saved_elsewhere(self, registry):
+        _, sequences = _random_hmm(0, "categorical").sample_dataset(1, 12, seed=3)
+        sequence = sequences[0]
+        with Router(registry) as router:
+            router.tag("m", sequence)
+            assert router.loaded_models() == [("m", 1)]
+            assert _save_in_subprocess(registry.root, "m", seed=9) == 2
+            path = router.tag("m", sequence)
+            assert router.loaded_models() == [("m", 1), ("m", 2)]
+            per_model = router.stats.snapshot()["per_model"]
+        assert per_model == {"m:v0001": 1, "m:v0002": 1}
+        want = resolve_hmm(registry.load("m", version=2)).decode(sequence)
+        assert np.array_equal(path, want)

@@ -62,13 +62,19 @@ class TestRouting:
             not np.array_equal(a, b) for a, b in zip(alpha_paths, beta_paths)
         )
 
-    def test_interleaved_burst_coalesces_per_model(self, registry, models, sequences):
-        config = ServingConfig(max_batch_size=64, max_wait_ms=50.0)
+    def test_interleaved_burst_coalesces_per_model(
+        self, registry, models, sequences, hold_dispatcher
+    ):
+        config = ServingConfig(max_batch_size=64)
         with Router(registry, config=config) as router:
             futures = []
-            for i, seq in enumerate(sequences):
-                name = "alpha" if i % 2 == 0 else "beta"
-                futures.append((name, seq, router.submit_tag(name, seq)))
+            # the burst queues while the dispatcher holds its first request
+            with hold_dispatcher() as held:
+                for i, seq in enumerate(sequences):
+                    name = "alpha" if i % 2 == 0 else "beta"
+                    futures.append((name, seq, router.submit_tag(name, seq)))
+                    if i == 0:
+                        assert held.wait(timeout=10)
             for name, seq, future in futures:
                 assert np.array_equal(
                     future.result(timeout=10), models[name].decode(seq)
@@ -161,7 +167,7 @@ class TestLifecycle:
         # time; a burst submitted faster than the dispatcher drains must
         # eventually fast-fail.  Deterministic variant lives in
         # test_serving_service.py; here we only check the error type wiring.
-        config = ServingConfig(queue_capacity=1, max_wait_ms=0.0)
+        config = ServingConfig(queue_capacity=1)
         with Router(registry, config=config) as router:
             saw_rejection = False
             futures = []
@@ -174,7 +180,9 @@ class TestLifecycle:
                 future.result(timeout=10)
         assert saw_rejection
 
-    def test_deadline_rechecked_per_model_group(self, registry, models, sequences):
+    def test_deadline_rechecked_per_model_group(
+        self, registry, models, sequences, hold_dispatcher
+    ):
         """A request expiring while an *earlier* group computes (here: while
         its cold model loads slowly) must still be shed before the engine."""
         real_load = registry.load
@@ -185,13 +193,20 @@ class TestLifecycle:
             time.sleep(0.15)  # a cold model whose artifact load is slow
             return real_load(name, version)
 
-        registry.load = slow_load
-        # Large max_wait so both requests land in one drained batch; "alpha"
-        # is submitted first, so its group (and slow load) runs first.
-        config = ServingConfig(max_wait_ms=500.0)
-        with Router(registry, config=config) as router:
-            served = router.submit_tag("alpha", sequences[0])
-            doomed = router.submit_tag("beta", sequences[1], deadline_ms=30.0)
+        registry.save("gamma", models["alpha"])
+        with Router(registry) as router:
+            # gamma is resident, so holding the dispatcher on one of its
+            # requests costs no load once released
+            assert router.warm_up(["gamma"]).ok
+            registry.load = slow_load
+            # Both requests queue behind the held one and land in one
+            # drained batch; "alpha" is submitted first, so its group (and
+            # slow load) runs first.
+            with hold_dispatcher() as held:
+                router.submit_tag("gamma", sequences[2])
+                assert held.wait(timeout=10)
+                served = router.submit_tag("alpha", sequences[0])
+                doomed = router.submit_tag("beta", sequences[1], deadline_ms=30.0)
             assert np.array_equal(
                 served.result(timeout=10), models["alpha"].decode(sequences[0])
             )

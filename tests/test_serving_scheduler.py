@@ -215,7 +215,7 @@ class TestEDFIntegration:
         model = _gated_hmm(0)
         _, sequences = model.sample_dataset(5, 8, seed=1)
         config = ServingConfig(
-            max_batch_size=1, max_wait_ms=0.0, scheduling_policy="edf"
+            max_batch_size=1, scheduling_policy="edf"
         )
         order: list[str] = []
         with TaggingService(model, config=config) as service:
@@ -260,7 +260,7 @@ class TestWeightedFairIntegration:
         registry.load = gated_load
 
         config = ServingConfig(
-            max_batch_size=4, max_wait_ms=0.0, scheduling_policy="weighted_fair"
+            max_batch_size=4, scheduling_policy="weighted_fair"
         )
         chatty_done_at_quiet_resolution: list[int] = []
         with Router(registry, config=config) as router:

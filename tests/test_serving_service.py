@@ -130,20 +130,31 @@ class TestCorrectness:
 
 
 class TestBatching:
-    def test_burst_is_coalesced(self, model, sequences):
-        config = ServingConfig(max_batch_size=64, max_wait_ms=20.0)
+    def test_burst_is_coalesced(self, model, sequences, hold_dispatcher):
+        config = ServingConfig(max_batch_size=64)
         with TaggingService(model, config=config) as service:
-            service.tag_many(sequences)
+            # the burst queues while the dispatcher computes its first request
+            with hold_dispatcher() as held:
+                futures = [service.submit_tag(sequences[0])]
+                assert held.wait(timeout=10)
+                futures += [service.submit_tag(seq) for seq in sequences[1:]]
+            for future in futures:
+                future.result(timeout=10)
             stats = service.stats.snapshot()
         # 40 simultaneous requests must not become 40 singleton batches.
         assert stats["n_requests"] == len(sequences)
         assert stats["mean_batch_size"] > 2.0
         assert stats["max_batch_size"] > 2
 
-    def test_max_batch_size_is_respected(self, model, sequences):
-        config = ServingConfig(max_batch_size=5, max_wait_ms=20.0)
+    def test_max_batch_size_is_respected(self, model, sequences, hold_dispatcher):
+        config = ServingConfig(max_batch_size=5)
         with TaggingService(model, config=config) as service:
-            service.tag_many(sequences)
+            with hold_dispatcher() as held:
+                futures = [service.submit_tag(sequences[0])]
+                assert held.wait(timeout=10)
+                futures += [service.submit_tag(seq) for seq in sequences[1:]]
+            for future in futures:
+                future.result(timeout=10)
             stats = service.stats.snapshot()
         assert stats["max_batch_size"] <= 5
         assert stats["n_batches"] >= len(sequences) / 5
@@ -211,6 +222,26 @@ class TestExecutor:
         assert np.sum(served) == model.score(scored)
 
 
+    def test_mixed_dtype_batch_scores_once_per_dtype_kind(self):
+        base = _random_hmm(3)
+        model = HMM(
+            base.startprob, base.transmat, _CountingEmission(base.emissions.emission_probs)
+        )
+        # signed and unsigned symbols are both valid categorical input
+        sequences = [
+            np.array([1, 2, 3]), np.array([5, 0], dtype=np.uint8), np.array([4, 0])
+        ]
+        batch = [
+            Request(kind=_TAG, sequence=seq, future=Future()) for seq in sequences
+        ]
+        _ModelExecutor(model).run(batch, ServiceStats())
+        assert model.emissions.scoring_calls == 2
+        for request, seq in zip(batch, sequences):
+            np.testing.assert_array_equal(
+                request.future.result(timeout=0), base.decode(seq)
+            )
+
+
 class TestLifecycle:
     def test_close_serves_queued_requests(self, model, sequences):
         service = TaggingService(model)
@@ -236,16 +267,20 @@ class TestLifecycle:
             with pytest.raises(ValidationError):
                 service.submit_tag(np.array([], dtype=np.int64))
 
-    def test_cancelled_future_does_not_kill_dispatcher(self, model, sequences):
-        # Stall the dispatcher with a long max_wait so there is a window to
-        # cancel a queued request before it is processed.
-        config = ServingConfig(max_batch_size=2, max_wait_ms=200.0)
+    def test_cancelled_future_does_not_kill_dispatcher(
+        self, model, sequences, hold_dispatcher
+    ):
+        # Hold the dispatcher inside the first request's batch, so the
+        # third is still queued when the client cancels it.
+        config = ServingConfig(max_batch_size=2)
         with TaggingService(model, config=config) as service:
-            first = service.submit_tag(sequences[0])
-            second = service.submit_tag(sequences[1])
-            third = service.submit_tag(sequences[2])
-            third.cancel()  # may or may not win the race with the dispatcher
-            # the service must keep serving either way
+            with hold_dispatcher() as held:
+                first = service.submit_tag(sequences[0])
+                assert held.wait(timeout=10)
+                second = service.submit_tag(sequences[1])
+                third = service.submit_tag(sequences[2])
+                assert third.cancel()
+            # the service must keep serving after skipping the cancelled one
             assert np.array_equal(first.result(timeout=10), model.decode(sequences[0]))
             assert np.array_equal(
                 service.tag(sequences[3]), model.decode(sequences[3])
@@ -268,25 +303,51 @@ class TestLifecycle:
             path = service.tag(np.array([0, 1, 2]))
             assert path.shape == (3,)
 
-    def test_bad_request_does_not_poison_the_batch(self, model, sequences):
+    def test_bad_request_does_not_poison_the_batch(
+        self, model, sequences, hold_dispatcher
+    ):
         # A malformed request coalesced with valid ones must fail alone;
         # the valid requests still resolve with correct paths.
-        config = ServingConfig(max_batch_size=64, max_wait_ms=50.0)
+        config = ServingConfig(max_batch_size=64)
         with TaggingService(model, config=config) as service:
-            good_futures = [service.submit_tag(seq) for seq in sequences[:5]]
-            bad_future = service.submit_tag(np.array([999]))
-            more_futures = [service.submit_tag(seq) for seq in sequences[5:10]]
+            with hold_dispatcher() as held:
+                good_futures = [service.submit_tag(sequences[0])]
+                assert held.wait(timeout=10)
+                good_futures += [service.submit_tag(seq) for seq in sequences[1:5]]
+                bad_future = service.submit_tag(np.array([999]))
+                more_futures = [service.submit_tag(seq) for seq in sequences[5:10]]
             with pytest.raises(ValidationError):
                 bad_future.result(timeout=10)
             expected = model.predict(sequences[:10])
             for future, want in zip(good_futures + more_futures, expected):
                 assert np.array_equal(future.result(timeout=10), want)
 
+    def test_bool_request_batched_with_integers_is_rejected(
+        self, model, sequences, hold_dispatcher
+    ):
+        """Regression: concatenating a micro-batch cast a bool request to
+        int, so it was tagged instead of failing the categorical dtype
+        check it fails when sent alone."""
+        ints, bools = np.array([1, 2, 3]), np.array([True, False])
+        with TaggingService(model) as service:
+            with pytest.raises(ValidationError, match="integer"):
+                service.tag(bools)
+            with hold_dispatcher() as held:
+                service.submit_tag(sequences[0])
+                assert held.wait(timeout=10)
+                int_future = service.submit_tag(ints)
+                bool_future = service.submit_tag(bools)
+            with pytest.raises(ValidationError, match="integer"):
+                bool_future.result(timeout=10)
+            assert np.array_equal(int_future.result(timeout=10), model.decode(ints))
+            # both requests shared one batch
+            assert service.stats.snapshot()["max_batch_size"] == 2
+
     def test_close_reports_incomplete_flush(self, sequences):
         """A flush slower than the close timeout is surfaced, not swallowed."""
         model = _gated_hmm(0)
         service = TaggingService(
-            model, config=ServingConfig(max_batch_size=1, max_wait_ms=0.0)
+            model, config=ServingConfig(max_batch_size=1)
         )
         future = service.submit_tag(sequences[0])
         assert model.emissions.started.wait(timeout=10)
@@ -352,7 +413,7 @@ class TestLifecycle:
 class TestBackpressure:
     def test_queue_full_fast_fails_under_burst(self, sequences):
         model = _gated_hmm(0)
-        config = ServingConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=3)
+        config = ServingConfig(max_batch_size=1, queue_capacity=3)
         with TaggingService(model, config=config) as service:
             # The dispatcher takes exactly one request and blocks inside it.
             blocked = service.submit_tag(sequences[0])
@@ -380,7 +441,7 @@ class TestBackpressure:
     def test_concurrent_burst_respects_capacity(self, sequences):
         """Racing submitters never overshoot the bound; rejects are counted."""
         model = _gated_hmm(1)
-        config = ServingConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=4)
+        config = ServingConfig(max_batch_size=1, queue_capacity=4)
         outcomes: list[str] = []
         outcomes_lock = threading.Lock()
         with TaggingService(model, config=config) as service:
@@ -415,7 +476,7 @@ class TestBackpressure:
 class TestDeadlines:
     def test_expired_request_never_reaches_the_engine(self, sequences):
         model = _gated_hmm(0)
-        config = ServingConfig(max_batch_size=1, max_wait_ms=0.0)
+        config = ServingConfig(max_batch_size=1)
         with TaggingService(model, config=config) as service:
             blocking = service.submit_tag(sequences[0])
             assert model.emissions.started.wait(timeout=10)
@@ -448,7 +509,7 @@ class TestDeadlines:
 
     def test_expired_requests_are_dropped_during_shutdown_flush(self, sequences):
         model = _gated_hmm(0)
-        config = ServingConfig(max_batch_size=1, max_wait_ms=0.0)
+        config = ServingConfig(max_batch_size=1)
         service = TaggingService(model, config=config)
         blocking = service.submit_tag(sequences[0])
         assert model.emissions.started.wait(timeout=10)

@@ -338,6 +338,26 @@ class TestStreamPool:
         with pytest.raises(ValidationError, match="no observations"):
             pool.open().finish()
 
+    def test_bool_observation_in_an_integer_tick_is_rejected(self):
+        """Regression: stacking a tick cast a bool observation to int, so it
+        was scored instead of failing the categorical dtype check."""
+        pool = StreamPool(_random_hmm(1), lag=None)
+        ints, bools = pool.open(), pool.open()
+        with pytest.raises(ValidationError, match="integer"):
+            pool.push_tick([(ints, np.int64(1)), (bools, np.bool_(True))])
+        assert ints.n_tokens == bools.n_tokens == 0  # the tick never ran
+
+    def test_tick_of_mixed_integer_kinds_matches_dedicated_decoders(self):
+        model = _random_hmm(2)
+        pool = StreamPool(model, lag=None)
+        streams = [pool.open(), pool.open(), pool.open()]
+        tokens = [np.int64(1), np.uint8(3), np.int64(5)]
+        steps = pool.push_tick(list(zip(streams, tokens)))
+        for step, token in zip(steps, tokens):
+            want = StreamingDecoder(model, lag=None).push(token)
+            assert np.array_equal(step.filtering, want.filtering)
+            assert step.log_likelihood == want.log_likelihood
+
     def test_keep_history_false_bounds_retention(self):
         model = _random_hmm(6)
         _, obs = model.sample(20, seed=6)
@@ -399,6 +419,12 @@ class TestPushWave:
         pool = StreamPool(_random_hmm(0), lag=2)
         with pytest.raises(ValidationError, match="at least one"):
             pool.open().push_wave([])
+
+    def test_bool_token_in_a_wave_is_rejected(self):
+        stream = StreamPool(_random_hmm(0), lag=2).open()
+        with pytest.raises(ValidationError, match="integer"):
+            stream.push_wave([np.int64(1), np.bool_(True)])
+        assert stream.n_tokens == 0
 
     def test_wave_to_finished_stream_raises(self):
         pool = StreamPool(_random_hmm(0), lag=2)

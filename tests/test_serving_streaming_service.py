@@ -128,15 +128,19 @@ class TestEquivalence:
 
 
 class TestCoalescing:
-    def test_pre_submitted_pushes_form_batched_ticks(self, model):
+    def test_pre_submitted_pushes_form_batched_ticks(self, model, hold_dispatcher):
         observations = _observations(model, n_streams=16, length=10)
-        config = ServingConfig(max_batch_size=64, max_wait_ms=20.0)
+        config = ServingConfig(max_batch_size=64)
         with StreamingService(model, lag=4, config=config) as service:
             streams = [service.open() for _ in observations]
             futures = []
-            for t in range(10):
-                for stream, obs in zip(streams, observations):
-                    futures.append(stream.submit_push(obs[t]))
+            # the pushes queue while the dispatcher holds the first one
+            with hold_dispatcher() as held:
+                for t in range(10):
+                    for stream, obs in zip(streams, observations):
+                        futures.append(stream.submit_push(obs[t]))
+                        if len(futures) == 1:
+                            assert held.wait(timeout=10)
             for future in futures:
                 future.result(timeout=10)
             stats = service.stats.snapshot()
@@ -145,20 +149,42 @@ class TestCoalescing:
         assert stats["mean_batch_size"] > 2.0
         assert stats["max_batch_size"] > 2
 
-    def test_same_stream_never_advances_twice_per_tick(self, model):
+    def test_same_stream_never_advances_twice_per_tick(self, model, hold_dispatcher):
         """Back-to-back pushes of ONE stream in one drained batch must land
         in separate ticks, preserving order — outputs prove it: they match
         the strictly sequential decoder."""
         obs = _observations(model, n_streams=1, length=30)[0]
-        config = ServingConfig(max_batch_size=64, max_wait_ms=20.0)
+        config = ServingConfig(max_batch_size=64)
         with StreamingService(model, lag=4, config=config) as service:
             stream = service.open()
-            futures = [stream.submit_push(o) for o in obs]
+            with hold_dispatcher() as held:
+                futures = [stream.submit_push(obs[0])]
+                assert held.wait(timeout=10)
+                futures += [stream.submit_push(o) for o in obs[1:]]
             steps = [f.result(timeout=10) for f in futures]
             result = stream.finish()
         decoder = StreamingDecoder(model, lag=4)
         want_steps = decoder.push_many(obs)
         _assert_stream_equal(steps, result, want_steps, decoder.finish())
+
+    def test_bool_push_in_an_integer_tick_is_rejected(self, model, hold_dispatcher):
+        """Regression: stacking a tick cast a bool push to int, so it got a
+        step instead of the ValidationError it gets alone."""
+        with StreamingService(model, lag=4) as service:
+            first, ints, bools = service.open(), service.open(), service.open()
+            with hold_dispatcher() as held:
+                first.submit_push(np.int64(0))
+                assert held.wait(timeout=10)
+                int_push = ints.submit_push(np.int64(1))
+                bool_push = bools.submit_push(np.bool_(True))
+            with pytest.raises(ValidationError, match="integer"):
+                bool_push.result(timeout=10)
+            step = int_push.result(timeout=10)
+            # both pushes shared one tick
+            assert service.stats.snapshot()["max_batch_size"] == 2
+        want = StreamingDecoder(model, lag=4).push(np.int64(1))
+        np.testing.assert_array_equal(step.filtering, want.filtering)
+        assert step.log_likelihood == want.log_likelihood
 
 
 class TestLifecycle:
@@ -295,17 +321,19 @@ class TestWaveBatching:
         waits = stats["queue_wait_by_policy"]
         assert sum(hist["count"] for hist in waits.values()) == 4
 
-    def test_waves_coalesce_with_single_pushes(self, model):
+    def test_waves_coalesce_with_single_pushes(self, model, hold_dispatcher):
         obs = _observations(model, n_streams=2, length=12)
-        config = ServingConfig(max_batch_size=64, max_wait_ms=20.0)
+        config = ServingConfig(max_batch_size=64)
         with StreamingService(model, lag=3, config=config) as service:
             wavy, ticky = service.open(), service.open()
-            futures = [
-                wavy.submit_push_many(obs[0][:6]),
-                *[ticky.submit_push(o) for o in obs[1][:6]],
-                wavy.submit_push_many(obs[0][6:]),
-                *[ticky.submit_push(o) for o in obs[1][6:]],
-            ]
+            with hold_dispatcher() as held:
+                futures = [wavy.submit_push_many(obs[0][:6])]
+                assert held.wait(timeout=10)
+                futures += [
+                    *[ticky.submit_push(o) for o in obs[1][:6]],
+                    wavy.submit_push_many(obs[0][6:]),
+                    *[ticky.submit_push(o) for o in obs[1][6:]],
+                ]
             for future in futures:
                 future.result(timeout=10)
             results = [wavy.finish(), ticky.finish()]
