@@ -9,13 +9,17 @@ in a few minutes on a laptop while preserving the qualitative shapes).
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from perfbench.record import fingerprint
 from repro.datasets.ocr import generate_ocr_dataset
 from repro.datasets.pos import generate_wsj_like_corpus
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 #: Benchmark-scale workload sizes (kept well below the paper's full sizes so
 #: the whole suite runs in minutes; the example scripts use the full sizes).
@@ -46,7 +50,10 @@ def merge_results(path: Path, update: dict) -> None:
 
     Several benchmarks write sections of the same file, so a clobbering
     ``write_text`` would erase the others' keys depending on execution
-    order.
+    order.  Each section is stamped with the machine it was measured on:
+    ``fingerprints[<test id>]`` holds perfbench's fingerprint (cores,
+    python/numpy/scipy versions, BLAS vendor and threads, git SHA and
+    dirty flag) and the keys that test wrote.
     """
     existing: dict = {}
     if path.is_file():
@@ -55,4 +62,7 @@ def merge_results(path: Path, update: dict) -> None:
         except json.JSONDecodeError:
             existing = {}
     existing.update(update)
+    section = os.environ.get("PYTEST_CURRENT_TEST", "").split(" ")[0] or "unknown"
+    stamp = {k: v for k, v in fingerprint(_ROOT, seed=0).items() if k != "seed"}
+    existing.setdefault("fingerprints", {})[section] = {"keys": sorted(update), **stamp}
     path.write_text(json.dumps(existing, indent=2) + "\n")

@@ -113,18 +113,19 @@ def test_batched_engine_speedup(benchmark, pos_corpus):
         assert got_lj == want_lj
 
     # Memory footprint: the kernel's *actual* backpointer allocation (the
-    # backend records the dtype of its most recent one) must use the
-    # smallest dtype that can index the state space — uint8 here, an 8x
-    # saving over the int64 it used to allocate.
+    # backend records the dtype and shape of its most recent one) must use
+    # the smallest dtype that can index the state space — uint8 here, an
+    # 8x saving over int64 — with one row per packed row.
     bp_dtype = scaled.backend.last_backpointer_dtype
     assert bp_dtype is not None
     assert bp_dtype == viterbi_backpointer_dtype(pos_corpus.n_tags)
     assert bp_dtype.itemsize == 1
-    largest_bucket = max(
-        b.positions.shape[0] * b.max_len * pos_corpus.n_tags for b in corpus.buckets
-    )
-    int64_bytes = largest_bucket * np.dtype(np.int64).itemsize
-    assert largest_bucket * bp_dtype.itemsize <= int64_bytes // 8
+    plan = corpus.packed
+    bp_shape = scaled.backend.last_backpointer_shape
+    assert bp_shape == (plan.n_rows, pos_corpus.n_tags)
+    n_entries = int(np.prod(bp_shape))
+    int64_bytes = n_entries * np.dtype(np.int64).itemsize
+    assert n_entries * bp_dtype.itemsize <= int64_bytes // 8
 
     e_step_speedup = e_step_reference / e_step_scaled
     viterbi_speedup = viterbi_reference / viterbi_scaled

@@ -1,10 +1,11 @@
-"""Benchmark: genome-scale chunked decode vs serial single-bucket decode.
+"""Benchmark: genome-scale chunked decode vs serial single-sequence decode.
 
 One T=1M-token sequence (``BENCH_LONGSEQ_T`` overrides the length) decoded
-two ways through the same fused log-domain Viterbi kernel:
+two ways through the same fused log-domain Viterbi step:
 
-* **serial** — the whole sequence as a single bucket row ``(1, T, K)``:
-  one Python-level iteration per timestep;
+* **serial** — the whole sequence as a one-sequence packed corpus
+  (``viterbi_corpus`` without a long threshold): one Python-level
+  iteration per timestep;
 * **chunked** — ``viterbi_long``: overlapping windows decoded
   ``group_size`` at a time as one bucket (B-way data parallelism), paths
   stitched at agreement points inside the overlaps.
@@ -105,10 +106,10 @@ def _build_workload():
 
 
 def _serial_viterbi(backend, pi, transmat, table):
-    """The whole table as one bucket row: a directly built corpus has no
-    long threshold, so nothing routes it through the chunked decoder."""
+    """The whole table as one packed sequence: a directly built corpus has
+    no long threshold, so nothing routes it through the chunked decoder."""
     corpus = CompiledCorpus([table])
-    return backend.viterbi_corpus(pi, transmat, corpus, corpus.extend_scores(table))[0]
+    return backend.viterbi_corpus(pi, transmat, corpus, table)[0]
 
 
 _TINY = 1e-300
@@ -191,7 +192,7 @@ def _loop_posteriors(pi, transmat, table):
 
 def test_long_sequence_decode(benchmark):
     pi, transmat, table = _build_workload()
-    backend = ScaledBatchedBackend(bucket_size=_GROUP)
+    backend = ScaledBatchedBackend()
 
     # Warm numpy/the kernel on a small prefix so first-call overheads do
     # not pollute the single-shot serial timing below.
@@ -273,7 +274,7 @@ def test_long_sequence_decode(benchmark):
     }
     merge_results(_RESULT_PATH, results)
 
-    print_header("Long-sequence decode - chunked windows vs serial single bucket")
+    print_header("Long-sequence decode - chunked windows vs serial single sequence")
     print(f"T={LONGSEQ_T:,}  K={_K}  window={_WINDOW} overlap={_OVERLAP} "
           f"group={_GROUP}  ({res.n_windows} windows)")
     print(f"serial : {serial_seconds:7.2f} s")

@@ -6,7 +6,7 @@ corpus is one client request.  The *sequential* baseline decodes each
 request the moment it arrives (one engine call per sequence — what any
 caller without the service would do); the *service* run submits the same
 requests concurrently and lets the micro-batcher coalesce them into
-engine length-buckets.  Also reports the fixed-lag streaming decoder's
+packed engine batches.  Also reports the fixed-lag streaming decoder's
 single-token-latency path for reference.
 
 The idle benchmark sends requests one at a time, each after an idle gap,
@@ -99,10 +99,8 @@ def test_micro_batched_service_speedup(benchmark, pos_corpus):
     model = _build_model(pos_corpus)
     sequences = pos_corpus.words
     n_tokens = sum(len(seq) for seq in sequences)
-    # Coalescing several engine buckets' worth of requests per micro-batch
-    # lets the engine sort them into near-rectangular length-buckets; a
-    # micro-batch of exactly bucket_size arrival-ordered sequences pads the
-    # whole bucket to its longest member.
+    # Coalescing many requests per micro-batch lets one packed recursion
+    # step cover every request still active at that position.
     config = ServingConfig(max_batch_size=256)
 
     # Correctness gate: served paths must match direct batch decoding.

@@ -5,10 +5,18 @@ Baum-Welch fits of HMM/dHMM across the PoS and OCR datasets and whole
 ablation grids.  This benchmark times complete EM iterations (E-step *and*
 M-step) of ``BaumWelchTrainer.fit`` over a compiled corpus — dataset encoded
 once by :class:`~repro.hmm.corpus.CompiledCorpus`, one vectorized
-emission-scoring call + bucket gather/scatter per iteration, bincount/matmul
+emission-scoring call + packed gather/scatter per iteration, bincount/matmul
 M-steps — on the scaled backend against the same ``fit`` loop on the
 log-domain reference backend (per-sequence log-space recursions), and gates
 the speedup.
+
+A second benchmark gates the packed time-major E-step at the paper's PoS
+shape (3 828 sentences, V = 10 000, K = 15, drawn like perfbench's
+``train_dhmm_pos``) against the padded length-bucket E-step it replaced,
+kept below as the timing baseline: corpus scoring plus forward-backward
+must be at least ``BENCH_MIN_PACKED_ESTEP_SPEEDUP`` times faster, match the
+baseline to 1e-8, and hold its tracemalloc peak within 1.25x of the
+baseline's.
 
 Results merge into ``BENCH_training.json`` at the repository root.
 """
@@ -17,17 +25,27 @@ from __future__ import annotations
 
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from benchmarks.conftest import merge_results, print_header
+from perfbench.inputs import PAPER_SENTENCES, PosSource
 from repro.hmm import BaumWelchTrainer, CategoricalEmission, HMM, InferenceEngine
 
 #: Acceptance floor for full-EM-iteration throughput of the scaled backend
 #: over the per-sequence log-domain reference backend.
 #: Overridable so noisy shared CI runners can relax the gate.
 MIN_TRAINING_SPEEDUP = float(os.environ.get("BENCH_MIN_TRAINING_SPEEDUP", "5.0"))
+
+#: Acceptance floor for scoring + E-step of the packed kernels over the
+#: padded length-bucket kernels at the paper's PoS shape.
+MIN_PACKED_ESTEP_SPEEDUP = float(os.environ.get("BENCH_MIN_PACKED_ESTEP_SPEEDUP", "1.5"))
+
+#: Ceiling on the packed E-step's tracemalloc peak, relative to the bucket
+#: baseline's: the packed layout must not buy its speed with memory.
+MAX_PACKED_ESTEP_MEMORY_RATIO = 1.25
 
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_training.json"
 
@@ -117,3 +135,194 @@ def test_em_iteration_throughput(benchmark, pos_corpus):
     )
 
     assert speedup >= MIN_TRAINING_SPEEDUP
+
+
+# ------------------------------------------------------------------ #
+# Packed E-step vs the padded length-bucket E-step it replaced
+# ------------------------------------------------------------------ #
+_BUCKET_SIZE = 64
+_TINY = 1e-300
+
+
+def _bucket_positions(corpus) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(idx, lengths, positions)`` of each padded length-bucket.
+
+    Sequences sorted by length (stable), chunked by 64; padded positions
+    point at the sentinel row ``n_tokens`` of the extended score table.
+    Built once, outside the timing, as the old compile did.
+    """
+    order = np.argsort(corpus.lengths, kind="stable")
+    buckets = []
+    for lo in range(0, order.size, _BUCKET_SIZE):
+        idx = order[lo : lo + _BUCKET_SIZE]
+        lengths = corpus.lengths[idx]
+        span = np.arange(int(lengths.max()))
+        positions = np.where(
+            span[None, :] < lengths[:, None],
+            corpus.offsets[idx][:, None] + span[None, :],
+            corpus.n_tokens,
+        )
+        buckets.append((idx, lengths, positions))
+    return buckets
+
+
+def _bucket_score(corpus, emissions) -> np.ndarray:
+    """The old ``CompiledCorpus.score``: the table plus a zero sentinel row."""
+    scores = emissions.log_likelihoods(corpus.concat)
+    ext = np.empty((corpus.n_tokens + 1, scores.shape[1]))
+    ext[:-1] = scores
+    ext[-1] = 0.0
+    return ext
+
+
+def _bucket_fb(startprob, transmat, log_b, lengths):
+    """Scaled forward-backward over one padded ``(B, L, K)`` bucket."""
+    batch, max_len, n_states = log_b.shape
+    shift = np.max(log_b, axis=2)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    obs = np.exp(log_b - shift[:, :, None])
+    alpha_hat = np.empty_like(obs)
+    scale = np.ones((batch, max_len))
+    alpha = startprob[None, :] * obs[:, 0]
+    raw = alpha.sum(axis=1)
+    underflow = raw < _TINY
+    c0 = np.maximum(raw, _TINY)
+    alpha = alpha / c0[:, None]
+    alpha_hat[:, 0] = alpha
+    scale[:, 0] = c0
+    for t in range(1, max_len):
+        active = t < lengths
+        propagated = (alpha @ transmat) * obs[:, t]
+        raw = propagated.sum(axis=1)
+        underflow |= active & (raw < _TINY)
+        c_t = np.where(active, np.maximum(raw, _TINY), 1.0)
+        alpha = np.where(active[:, None], propagated / c_t[:, None], alpha)
+        alpha_hat[:, t] = alpha
+        scale[:, t] = c_t
+    # The PoS shape never underflows; the log-domain repair is left out.
+    assert not underflow.any()
+    mask = np.arange(max_len)[None, :] < lengths[:, None]
+    log_likelihoods = (np.log(scale) + np.where(mask, shift, 0.0)).sum(axis=1)
+
+    beta_hat = np.empty_like(obs)
+    beta = np.ones((batch, n_states))
+    beta_hat[:, max_len - 1] = beta
+    for t in range(max_len - 2, -1, -1):
+        update = (t + 1) < lengths
+        weighted = obs[:, t + 1] * beta
+        propagated = (weighted @ transmat.T) / scale[:, t + 1, None]
+        beta = np.where(update[:, None], propagated, beta)
+        beta_hat[:, t] = beta
+    gamma = alpha_hat * beta_hat
+    gamma /= np.maximum(gamma.sum(axis=2, keepdims=True), _TINY)
+    xi_weight = obs * beta_hat / scale[:, :, None]
+    valid = (np.arange(1, max_len)[None, :] < lengths[:, None])[:, :, None]
+    a = np.where(valid, alpha_hat[:, :-1, :], 0.0)
+    w = np.where(valid, xi_weight[:, 1:, :], 0.0)
+    xi_rows = transmat * (a.transpose(0, 2, 1) @ w)
+    return gamma, xi_rows, log_likelihoods
+
+
+def _bucket_posteriors(startprob, transmat, corpus, buckets, scores_ext):
+    """The bucket E-step: gather each bucket, run it, scatter its posteriors."""
+    n_states = startprob.shape[0]
+    gamma_ext = np.empty((corpus.n_tokens + 1, n_states))
+    xi_sum = np.zeros((n_states, n_states))
+    lls = np.empty(corpus.n_sequences)
+    for idx, lengths, positions in buckets:
+        gamma, xi_rows, part = _bucket_fb(
+            startprob, transmat, scores_ext[positions], lengths
+        )
+        gamma_ext[positions] = gamma
+        xi_sum += xi_rows.sum(axis=0)
+        lls[idx] = part
+    return gamma_ext[:-1], xi_sum, lls
+
+
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_packed_estep_speedup(benchmark):
+    source = PosSource.from_seed(3)
+    data = source.sample(PAPER_SENTENCES, stream=1)
+    startprob, transmat = source.startprob, source.transmat
+    emissions = CategoricalEmission(source.emission_probs)
+    engine = InferenceEngine(backend="scaled")
+    corpus = engine.compile(data.words)
+    buckets = _bucket_positions(corpus)
+
+    def packed():
+        return engine.posteriors_corpus(
+            startprob, transmat, corpus, corpus.score(emissions)
+        )
+
+    def bucketed():
+        return _bucket_posteriors(
+            startprob, transmat, corpus, buckets, _bucket_score(corpus, emissions)
+        )
+
+    # Correctness gate: the packed kernels compute the same E-step.
+    got = packed()
+    gamma, xi_sum, lls = bucketed()
+    np.testing.assert_allclose(got.gamma_concat, gamma, atol=1e-8, rtol=0)
+    np.testing.assert_allclose(got.xi_sum, xi_sum, atol=1e-8, rtol=1e-12)
+    np.testing.assert_allclose(got.log_likelihoods, lls, atol=1e-8, rtol=1e-12)
+
+    # Alternate the two so a slow spell of the host hits both alike.
+    packed_s, bucket_s = [], []
+    for _ in range(5):
+        for fn, times in ((packed, packed_s), (bucketed, bucket_s)):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+    packed_seconds, bucket_seconds = min(packed_s), min(bucket_s)
+    speedup = bucket_seconds / packed_seconds
+
+    # Working memory of the E-step alone, given the score table.
+    scores = corpus.score(emissions)
+    scores_ext = _bucket_score(corpus, emissions)
+    packed_peak = _peak_mb(
+        lambda: engine.posteriors_corpus(startprob, transmat, corpus, scores)
+    )
+    bucket_peak = _peak_mb(
+        lambda: _bucket_posteriors(startprob, transmat, corpus, buckets, scores_ext)
+    )
+    memory_ratio = packed_peak / bucket_peak
+
+    results = {
+        "packed_estep": {
+            "workload": {
+                "n_sentences": corpus.n_sequences,
+                "n_tokens": corpus.n_tokens,
+                "n_states": startprob.shape[0],
+                "vocabulary_size": emissions.n_symbols,
+                "max_length": int(corpus.lengths.max()),
+                "source": "perfbench.inputs.PosSource, seed 3, stream 1",
+            },
+            "score_estep_seconds": {"packed": packed_seconds, "bucketed": bucket_seconds},
+            "score_estep_speedup": speedup,
+            "packed_tokens_per_second": corpus.n_tokens / packed_seconds,
+            "estep_tracemalloc_peak_mb": {"packed": packed_peak, "bucketed": bucket_peak},
+            "estep_memory_ratio": memory_ratio,
+        }
+    }
+    merge_results(_RESULT_PATH, results)
+
+    print_header("Training - packed time-major E-step vs padded length-buckets")
+    print(f"score + E-step: packed {packed_seconds * 1e3:7.1f} ms | "
+          f"buckets {bucket_seconds * 1e3:7.1f} ms | {speedup:4.2f}x")
+    print(f"E-step tracemalloc peak: packed {packed_peak:5.1f} MB | "
+          f"buckets {bucket_peak:5.1f} MB | {memory_ratio:4.2f}x")
+    print(f"results merged into {_RESULT_PATH.name}")
+
+    benchmark.extra_info.update(packed_estep_speedup=speedup)
+    benchmark.pedantic(packed, rounds=1, iterations=1)
+
+    assert speedup >= MIN_PACKED_ESTEP_SPEEDUP
+    assert memory_ratio <= MAX_PACKED_ESTEP_MEMORY_RATIO

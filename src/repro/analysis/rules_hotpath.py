@@ -2,9 +2,8 @@
 
 Functions whose ``def`` line carries ``# repro: hot-path`` (or any
 function in a module with a standalone ``# repro: hot-path`` comment) are
-inner-loop kernels: the bucket forward/backward/Viterbi recursions in
-:mod:`repro.hmm.backends` and the gather/scatter paths of
-:mod:`repro.hmm.corpus`.  Three rules keep them pure:
+inner-loop kernels: the packed forward/backward/Viterbi recursions in
+:mod:`repro.hmm.backends` and the scoring path of :mod:`repro.hmm.corpus`.  Three rules keep them pure:
 
 ``hot-path-loop``
     Python ``for``/``while`` loops are forbidden unless annotated

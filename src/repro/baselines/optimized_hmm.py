@@ -88,7 +88,7 @@ class OptimizedHMMClassifier(SupervisedHMMClassifier):
             weighted_obs @ log_p.T + weighted_neg @ log_1p.T
         )
         decoded = model.inference_engine.viterbi_corpus(
-            model.startprob, model.transmat, corpus, corpus.extend_scores(scores)
+            model.startprob, model.transmat, corpus, scores
         )
         return [path for path, _ in decoded]
 

@@ -19,10 +19,9 @@ class InferenceConfig:
     backend:
         Which numerical backend newly built engines use: ``"scaled"`` (the
         batched Rabiner-scaled probability-domain engine, the default) or
-        ``"log"`` (the per-sequence log-domain reference recursions).
-    bucket_size:
-        Maximum number of sequences grouped into one padded length-bucket
-        by the scaled backend.
+        ``"log"`` (the per-sequence log-domain reference recursions).  The
+        scaled backend packs every corpus time-major, so it has no batch
+        size to tune.
     decode_window:
         Window length ``W`` of the chunked long-sequence decode mode: a
         sequence longer than ``long_threshold`` is split into windows of
@@ -39,12 +38,11 @@ class InferenceConfig:
         decode_window`` so adjacent windows keep disjoint "own" regions.
     long_threshold:
         Sequence length above which inference automatically routes through
-        the chunked long-sequence engine instead of a single padded
-        bucket.  Must be at least ``decode_window``.
+        the chunked long-sequence engine instead of the packed corpus
+        recursion.  Must be at least ``decode_window``.
     """
 
     backend: str = "scaled"
-    bucket_size: int = 64
     decode_window: int = 4096
     decode_overlap: int = 256
     long_threshold: int = 32768
@@ -58,10 +56,6 @@ class InferenceConfig:
         if self.backend not in available_backends():
             raise ValidationError(
                 f"backend must be one of {available_backends()}, got {self.backend!r}"
-            )
-        if self.bucket_size < 1:
-            raise ValidationError(
-                f"bucket_size must be at least 1, got {self.bucket_size}"
             )
         if self.decode_overlap < 1:
             raise ValidationError(
@@ -108,19 +102,14 @@ def set_inference_config(config: InferenceConfig) -> InferenceConfig:
 
 
 @contextmanager
-def inference_backend(
-    backend: str, bucket_size: int | None = None
-) -> Iterator[InferenceConfig]:
+def inference_backend(backend: str) -> Iterator[InferenceConfig]:
     """Temporarily switch the default inference backend.
 
     >>> from repro.core.config import inference_backend
     >>> with inference_backend("log"):
     ...     pass  # models built/used here run the log-domain reference
     """
-    overrides: dict[str, object] = {"backend": backend}
-    if bucket_size is not None:
-        overrides["bucket_size"] = bucket_size
-    previous = set_inference_config(replace(get_inference_config(), **overrides))
+    previous = set_inference_config(replace(get_inference_config(), backend=backend))
     try:
         yield get_inference_config()
     finally:
@@ -146,8 +135,9 @@ class ServingConfig:
     ----------
     max_batch_size:
         Largest number of queued requests the :class:`~repro.serving.TaggingService`
-        coalesces into one engine call.  Aligning it with the engine's
-        ``bucket_size`` keeps every micro-batch a single padded bucket.
+        coalesces into one engine call.  The engine packs each micro-batch
+        time-major, so a batch of any size costs one recursion step per
+        position of its longest request.
     queue_capacity:
         Largest number of requests the service queue holds before further
         submissions fast-fail with

@@ -23,9 +23,9 @@ from repro.hmm.backends import (
 )
 from repro.hmm.corpus import (
     CompiledCorpus,
-    CorpusBucket,
     CorpusPosteriors,
     LongSequenceWindows,
+    PackedPlan,
 )
 from repro.hmm.engine import InferenceEngine
 from repro.hmm.longseq import (
@@ -69,9 +69,9 @@ __all__ = [
     "build_backend",
     "viterbi_backpointer_dtype",
     "CompiledCorpus",
-    "CorpusBucket",
     "CorpusPosteriors",
     "LongSequenceWindows",
+    "PackedPlan",
     "ArraySource",
     "EmissionSource",
     "LongDecodeResult",

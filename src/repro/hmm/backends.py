@@ -3,21 +3,23 @@
 The engine (:mod:`repro.hmm.engine`) delegates all forward-backward, Viterbi
 and likelihood computations to an :class:`InferenceBackend`.  Every backend
 method runs over a :class:`~repro.hmm.corpus.CompiledCorpus` and its
-extended emission score table (``forward_backward_corpus`` /
+``(n_tokens, K)`` emission score table (``forward_backward_corpus`` /
 ``viterbi_corpus`` / ``log_likelihood_corpus``), plus ``viterbi_long`` for
 one long sequence.  Two backends are provided:
 
 * :class:`ScaledBatchedBackend` — the default.  Runs the forward-backward
   recursions in the probability domain with Rabiner's per-timestep scaling,
-  so no ``logsumexp`` appears in any inner loop, over the corpus' padded
-  length-buckets, so every timestep is a single ``(B, K) @ (K, K)`` matmul
-  over the whole bucket.  The pairwise posteriors ``xi_sum`` of a bucket
-  come from one batched ``(B, K, L) @ (B, L, K)`` matmul instead of a
-  Python loop over ``T``.  Viterbi decoding runs batched in the *log*
-  domain (its recursion is max-only, so no scaling is needed) through a
-  fused kernel that is bit-identical to the reference — see
-  :meth:`_viterbi_bucket`.  Long sequences (the corpus' ``long_windows``)
-  take the chunked Viterbi and segment-scan kernels of :mod:`repro.hmm.longseq`.
+  so no ``logsumexp`` appears in any inner loop, over the corpus' packed
+  time-major layout (:class:`~repro.hmm.corpus.PackedPlan`): step ``t`` is
+  one ``(n_t, K) @ (K, K)`` matmul over the contiguous rows of the ``n_t``
+  sequences still active, so a whole corpus takes one Python step per
+  position of its longest sequence.  The expected transition counts
+  ``xi_sum`` accumulate one ``(K, n_t) @ (n_t, K)`` matmul per step.
+  Viterbi decoding runs in the *log* domain (its recursion is max-only, so
+  no scaling is needed) through a fused kernel that is bit-identical to the
+  reference — see :meth:`~ScaledBatchedBackend._viterbi_packed`.  Long
+  sequences (the corpus' ``long_windows``) take the chunked Viterbi and
+  segment-scan kernels of :mod:`repro.hmm.longseq`.
 * :class:`LogDomainBackend` — the original per-sequence log-space
   recursions, looped over the corpus one sequence at a time and kept as a
   bit-identical reference so equivalence of the scaled engine is testable
@@ -36,6 +38,10 @@ same ``c_t``, which makes ``gamma_t = alpha_hat_t * beta_hat_t`` and
     xi_t[i, j] = alpha_hat_{t-1}[i] * A[i, j] * obs_t[j] * beta_hat_t[j] / c_t
 
 exactly normalized — identical (up to rounding) to the log-domain reference.
+A sequence the probability domain cannot represent — its forward message
+vanishes, or a posterior row comes out non-finite or zero because its
+backward message overflowed or vanished — is recomputed with the
+log-domain reference instead.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError, ValidationError
-from repro.hmm.corpus import CompiledCorpus, CorpusPosteriors
+from repro.hmm.corpus import CompiledCorpus, CorpusPosteriors, PackedPlan
 from repro.hmm.forward_backward import compute_posteriors_from_log, log_forward
 from repro.hmm.longseq import (
     ArraySource,
@@ -62,6 +68,7 @@ from repro.utils.maths import logsumexp, safe_log
 
 __all__ = [
     "InferenceBackend",
+    "LONG_GROUP_SIZE",
     "ScaledBatchedBackend",
     "LogDomainBackend",
     "BatchedStreamingSession",
@@ -76,15 +83,24 @@ __all__ = [
 #: entire forward message underflows (mirrors ``LOG_EPS`` of the reference).
 _TINY = 1e-300
 
+#: Windows of one long sequence decoded together as one padded bucket by
+#: :meth:`ScaledBatchedBackend.viterbi_long` unless a caller sets
+#: ``group_size``; the bucket is ``(LONG_GROUP_SIZE, window, K)``.
+LONG_GROUP_SIZE = 64
+
+#: Bytes of the ``(rows, K, K)`` score buffer of one packed Viterbi step;
+#: steps with more active sequences run in row tiles of this size.
+_VITERBI_TILE_BYTES = 1 << 20
+
 
 def viterbi_backpointer_dtype(n_states: int) -> np.dtype:
     """Smallest unsigned integer dtype that can index ``n_states`` states.
 
-    Viterbi backpointer tensors have shape ``(B, L_max, K)``; storing them
-    as int64 wastes 8 bytes per entry when the state space is tiny (the
-    paper's workloads have K <= 45).  uint8 covers K <= 256, uint16 covers
-    K <= 65536; beyond that the int64 of the reference implementation is
-    kept.
+    Viterbi backpointers hold ``K`` entries per token (packed rows, or a
+    dense window bucket); storing them as int64 wastes 7 bytes per entry
+    when the state space is tiny (the paper's workloads have K <= 45).
+    uint8 covers K <= 256, uint16 covers K <= 65536; beyond that the int64
+    of the reference implementation is kept.
     """
     if n_states < 1:
         raise ValidationError(f"n_states must be positive, got {n_states}")
@@ -99,10 +115,10 @@ class InferenceBackend(abc.ABC):
     """Strategy object performing HMM inference over a compiled corpus.
 
     Every corpus method takes probability-domain parameters, a
-    :class:`~repro.hmm.corpus.CompiledCorpus` and its ``(n_tokens + 1, K)``
-    emission score table (:meth:`CompiledCorpus.score` /
-    :meth:`CompiledCorpus.extend_scores`), and returns per-sequence results
-    in corpus order.  The caller (the engine) scores the corpus once and
+    :class:`~repro.hmm.corpus.CompiledCorpus` and its ``(n_tokens, K)``
+    emission score table in concatenated token order
+    (:meth:`CompiledCorpus.score`), and returns per-sequence results in
+    corpus order.  The caller (the engine) scores the corpus once and
     caches derived parameters, handing ``log(pi)`` / ``log(A)`` over through
     the ``log_startprob`` / ``log_transmat`` keywords.
     """
@@ -114,26 +130,25 @@ class InferenceBackend(abc.ABC):
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores_ext: np.ndarray,
+        scores: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float64 parameters and score table, checked against each other.
 
-        An un-extended ``(n_tokens, K)`` table would silently shift every
-        split boundary and truncate the last sequence; insist on the
-        ``(n_tokens + 1, K)`` shape that :meth:`CompiledCorpus.score` /
-        :meth:`CompiledCorpus.extend_scores` produce.
+        A table of any other length would silently shift every split
+        boundary and truncate or misalign sequences; insist on the
+        ``(n_tokens, K)`` shape that :meth:`CompiledCorpus.score` produces.
         """
         startprob = np.asarray(startprob, dtype=np.float64)
         transmat = np.asarray(transmat, dtype=np.float64)
         _check_params(startprob, transmat)
-        scores_ext = np.asarray(scores_ext, dtype=np.float64)
-        expected = (corpus.n_tokens + 1, startprob.shape[0])
-        if scores_ext.shape != expected:
+        scores = np.asarray(scores, dtype=np.float64)
+        expected = (corpus.n_tokens, startprob.shape[0])
+        if scores.shape != expected:
             raise DimensionMismatchError(
                 f"corpus score table must have shape {expected} "
-                f"(CompiledCorpus.score output), got {scores_ext.shape}"
+                f"(CompiledCorpus.score output), got {scores.shape}"
             )
-        return startprob, transmat, scores_ext
+        return startprob, transmat, scores
 
     @abc.abstractmethod
     def forward_backward_corpus(
@@ -141,7 +156,7 @@ class InferenceBackend(abc.ABC):
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores_ext: np.ndarray,
+        scores: np.ndarray,
         log_startprob: np.ndarray | None = None,
         log_transmat: np.ndarray | None = None,
         sequence_xi: bool = False,
@@ -159,7 +174,7 @@ class InferenceBackend(abc.ABC):
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores_ext: np.ndarray,
+        scores: np.ndarray,
         log_startprob: np.ndarray | None = None,
         log_transmat: np.ndarray | None = None,
     ) -> list[tuple[np.ndarray, float]]:
@@ -171,7 +186,7 @@ class InferenceBackend(abc.ABC):
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores_ext: np.ndarray,
+        scores: np.ndarray,
         log_startprob: np.ndarray | None = None,
         log_transmat: np.ndarray | None = None,
     ) -> np.ndarray:
@@ -207,208 +222,254 @@ def _check_params(startprob: np.ndarray, transmat: np.ndarray) -> None:
 
 
 class ScaledBatchedBackend(InferenceBackend):
-    """Rabiner-scaled probability-domain recursions over padded buckets.
+    """Rabiner-scaled probability-domain recursions over a packed corpus.
 
-    Parameters
-    ----------
-    bucket_size:
-        Maximum number of sequences processed together in one padded
-        ``(B, L_max, K)`` tensor.  Sequences are sorted by length first, so
-        buckets are nearly rectangular.
+    Every corpus kernel walks the corpus' time-major
+    :class:`~repro.hmm.corpus.PackedPlan`: step ``t`` is one batched
+    operation over the contiguous packed rows of the ``n_t`` sequences
+    still active, which are always the leading ranks.  A call takes one
+    Python step per position of the longest sequence, with no padding and
+    no masks.
     """
 
     name = "scaled"
 
-    def __init__(self, bucket_size: int = 64) -> None:
-        if bucket_size < 1:
-            raise ValueError(f"bucket_size must be positive, got {bucket_size}")
-        self.bucket_size = bucket_size
-        #: dtype of the most recent Viterbi backpointer allocation;
-        #: introspection hook for the benchmark's memory-footprint gate.
+    def __init__(self) -> None:
+        #: dtype and shape of the most recent Viterbi backpointer
+        #: allocation; introspection hooks for the benchmark's
+        #: memory-footprint gate.
         self.last_backpointer_dtype: np.dtype | None = None
+        self.last_backpointer_shape: tuple[int, ...] | None = None
+
+    # -------------------------------------------------------------- #
+    # Packed kernels
+    # -------------------------------------------------------------- #
+    @staticmethod
+    def _packed_obs(  # repro: hot-path
+        scores: np.ndarray, plan: PackedPlan, out: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Max-shifted observation weights ``exp(log_b - m)`` in packed order.
+
+        The packed rows of ``scores`` are gathered into ``out`` and
+        exponentiated in place; returns ``(out, shift)`` with the per-row
+        shifts ``m``.
+        """
+        # mode="clip" keeps take from buffering its output (every row is
+        # in range), so the gather allocates nothing beyond ``out``.
+        obs = np.take(scores, plan.rows, axis=0, out=out, mode="clip")
+        shift = np.max(obs, axis=1)
+        shift[~np.isfinite(shift)] = 0.0
+        obs -= shift[:, None]
+        return np.exp(obs, out=obs), shift
 
     @staticmethod
-    def _obs_weights(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-timestep max-shifted observation weights ``exp(log_b - m)``."""
-        shift = np.max(log_b, axis=2)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        return np.exp(log_b - shift[:, :, None]), shift
+    def _packed_log_likelihoods(  # repro: hot-path
+        plan: PackedPlan, scale: np.ndarray, shift: np.ndarray
+    ) -> np.ndarray:
+        """Per-rank ``sum_t (log c_t + m_t)``; ``shift`` receives the terms."""
+        np.add(shift, np.log(np.maximum(scale, _TINY)), out=shift)
+        return np.bincount(plan.ranks, shift, minlength=plan.order.size)
 
-    # -------------------------------------------------------------- #
-    # Bucket kernels
-    # -------------------------------------------------------------- #
-    def _forward_bucket(  # repro: hot-path
+    @staticmethod
+    def _forward_packed(  # repro: hot-path
+        startprob: np.ndarray,
+        transmat: np.ndarray,
+        plan: PackedPlan,
+        obs: np.ndarray,
+        alpha: np.ndarray,
+        scale: np.ndarray,
+    ) -> None:
+        """Scaled forward pass over a packed corpus.
+
+        Writes the normalized forward messages into ``alpha``, which may be
+        ``obs`` itself when only the likelihood is wanted, and every row's
+        normalizer ``c_t`` into ``scale`` *before* the ``_TINY`` clamp: a
+        value below ``_TINY`` means the sequence's forward message vanished
+        in the probability domain (an impossible sequence, or a spread only
+        the log domain can represent), and its results must come from the
+        log-domain reference.
+        """
+        sizes = plan.batch_sizes.tolist()
+        offsets = plan.step_offsets.tolist()
+        propagated = np.empty((sizes[0], startprob.shape[0]))
+        np.multiply(startprob, obs[: sizes[0]], out=alpha[: sizes[0]])
+        for t, n in enumerate(sizes):  # repro: loop-ok[inherent time recursion]
+            lo = offsets[t]
+            cur = alpha[lo : lo + n]
+            if t:
+                # The n sequences active at t are the first n of step t - 1.
+                prev = offsets[t - 1]
+                np.matmul(alpha[prev : prev + n], transmat, out=propagated[:n])
+                np.multiply(propagated[:n], obs[lo : lo + n], out=cur)
+            # Row sums by einsum: faster than a reduction over the short
+            # state axis, and unlike a BLAS matrix-vector product (which
+            # rounds a row differently by its position in the block) each
+            # sum depends on its own row alone, so reordering the corpus
+            # permutes the results exactly.
+            raw = np.einsum("ij->i", cur, out=scale[lo : lo + n])
+            cur /= np.maximum(raw, _TINY)[:, None]
+
+    @staticmethod
+    def _backward_packed(  # repro: hot-path
+        transmat: np.ndarray,
+        plan: PackedPlan,
+        obs: np.ndarray,
+        alpha: np.ndarray,
+        scale: np.ndarray,
+        norms: np.ndarray,
+        xi_ranks: np.ndarray | None,
+    ) -> np.ndarray:
+        """Scaled backward pass turning ``alpha`` into ``gamma`` in place.
+
+        Returns the transition statistic ``sum_t alpha_hat_{t-1}^T w_t``
+        with ``w_t = obs_t * beta_hat_t / c_t``; times ``A`` elementwise it
+        is the expected transition counts.  ``norms`` receives every
+        posterior row's sum before normalization, and ``xi_ranks`` (when
+        given, ``(S, K, K)``) the statistic of each sequence rank.
+        """
+        sizes = plan.batch_sizes.tolist()
+        offsets = plan.step_offsets.tolist()
+        n_states = transmat.shape[0]
+        transmat_T = np.ascontiguousarray(transmat.T)
+        # Ranks past the active prefix have ended: their beta stays 1.
+        beta = np.ones((sizes[0], n_states))
+        weights = np.empty_like(beta)
+        pairs = (
+            np.empty((sizes[0], n_states, n_states)) if xi_ranks is not None else None
+        )
+        xi = np.zeros((n_states, n_states))
+        for t in range(len(sizes) - 1, -1, -1):  # repro: loop-ok[inherent backward time recursion]
+            n, lo = sizes[t], offsets[t]
+            cur = alpha[lo : lo + n]
+            if t:
+                w = weights[:n]
+                np.multiply(obs[lo : lo + n], beta[:n], out=w)
+                w /= scale[lo : lo + n, None]
+                prev = alpha[offsets[t - 1] : offsets[t - 1] + n]
+                xi += prev.T @ w
+                if xi_ranks is not None:
+                    np.multiply(prev[:, :, None], w[:, None, :], out=pairs[:n])
+                    xi_ranks[:n] += pairs[:n]
+            cur *= beta[:n]
+            total = np.einsum("ij->i", cur, out=norms[lo : lo + n])
+            cur /= np.maximum(total, _TINY)[:, None]
+            if t:
+                np.matmul(w, transmat_T, out=beta[:n])
+        return xi
+
+    def _fb_packed(  # repro: hot-path
         self,
         startprob: np.ndarray,
         transmat: np.ndarray,
-        log_b: np.ndarray,
-        lengths: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Scaled forward pass over one padded bucket.
+        plan: PackedPlan,
+        scores: np.ndarray,
+        buffer: np.ndarray,
+        sequence_xi: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+        """Forward-backward over a packed plan.
 
-        Returns ``(alpha_hat, c, obs, shift, log_likelihoods, underflow)``
-        where ``alpha_hat[b, t]`` is the normalized forward message,
-        ``c[b, t]`` its normalizer (1 in the padded region), ``obs``/``shift``
-        the max-shifted observation weights, and ``underflow`` a boolean mask
-        of sequences whose forward message vanished in the probability
-        domain (their ``log_likelihoods`` entries are unreliable and must be
-        recomputed with the log-domain reference).
+        Returns ``(gamma, xi, xi_ranks, log_likelihoods, failed)``: the
+        packed posteriors, the transition statistic of
+        :meth:`_backward_packed` and its per-rank form (``None`` unless
+        ``sequence_xi``), the log-likelihood of every rank, and the ranks
+        whose results are unusable — a vanished forward message, or a
+        posterior row that is not finite or sums to zero (a backward
+        message overflowed or vanished).  Unusable ranks can poison the
+        transition statistic; the caller re-runs without them.  The
+        observation weights are built in ``buffer`` (``(R, K)`` or
+        larger), which holds nothing useful afterwards.
         """
-        batch, max_len, _ = log_b.shape
-        obs, shift = self._obs_weights(log_b)
-
-        alpha_hat = np.empty_like(obs)
-        scale = np.ones((batch, max_len))
-
-        alpha = startprob[None, :] * obs[:, 0]
-        raw = alpha.sum(axis=1)
-        # A forward message summing to exactly zero means the probability
-        # domain underflowed (either a genuinely impossible sequence or an
-        # extreme >700-nat spread only the log domain can represent).  Such
-        # sequences are flagged and recomputed with the log-domain reference
-        # recursions, so the scaled backend never misreports them.
-        underflow = raw < _TINY
-        c0 = np.maximum(raw, _TINY)
-        alpha = alpha / c0[:, None]
-        alpha_hat[:, 0] = alpha
-        scale[:, 0] = c0
-
-        for t in range(1, max_len):  # repro: loop-ok[inherent time recursion]
-            active = t < lengths
-            propagated = (alpha @ transmat) * obs[:, t]
-            raw = propagated.sum(axis=1)
-            underflow |= active & (raw < _TINY)
-            c_t = np.where(active, np.maximum(raw, _TINY), 1.0)
-            alpha = np.where(active[:, None], propagated / c_t[:, None], alpha)
-            alpha_hat[:, t] = alpha
-            scale[:, t] = c_t
-
-        mask = np.arange(max_len)[None, :] < lengths[:, None]
-        log_likelihoods = (
-            np.log(scale)  # repro: ignore[hot-path-unguarded-log] -- scale is clamped to _TINY by the recursion above
-            + np.where(mask, shift, 0.0)
-        ).sum(axis=1)
-        return alpha_hat, scale, obs, shift, log_likelihoods, underflow
-
-    def _fb_corpus_bucket(  # repro: hot-path
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_b: np.ndarray,
-        lengths: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Forward-backward over one padded bucket of a compiled corpus.
-
-        Returns ``(gamma, xi_rows, log_likelihoods)``: ``gamma`` is the
-        padded ``(B, L, K)`` posterior tensor (ready to scatter through the
-        bucket's position map) and ``xi_rows`` the ``(B, K, K)`` expected
-        transition counts of each sequence, from one batched
-        ``(B, K, L) @ (B, L, K)`` matmul instead of a Python loop over the
-        bucket's sequences.  Underflowed rows are repaired in place with
-        the log-domain reference.
-        """
-        batch, max_len, n_states = log_b.shape
-        alpha_hat, scale, obs, _, log_likelihoods, underflow = self._forward_bucket(
-            startprob, transmat, log_b, lengths
+        n_states = startprob.shape[0]
+        obs, shift = self._packed_obs(scores, plan, buffer[: plan.n_rows])
+        alpha = np.empty_like(obs)
+        scale = np.empty(plan.n_rows)
+        self._forward_packed(startprob, transmat, plan, obs, alpha, scale)
+        lls = self._packed_log_likelihoods(plan, scale, shift)
+        xi_ranks = (
+            np.zeros((plan.order.size, n_states, n_states)) if sequence_xi else None
         )
-
-        # Underflowed rows are recomputed by the log-domain reference below;
-        # their pass through here can legitimately overflow (scale clamped to
-        # _TINY), so silence the spurious warnings in that case only.
-        errstate = (
-            {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
-            if underflow.any()
-            else {}
-        )
-        with np.errstate(**errstate):
-            beta_hat = np.empty_like(obs)
-            beta = np.ones((batch, n_states))
-            beta_hat[:, max_len - 1] = beta
-            for t in range(max_len - 2, -1, -1):  # repro: loop-ok[inherent backward time recursion]
-                update = (t + 1) < lengths
-                weighted = obs[:, t + 1] * beta
-                propagated = (weighted @ transmat.T) / scale[:, t + 1, None]
-                beta = np.where(update[:, None], propagated, beta)
-                beta_hat[:, t] = beta
-
-            gamma = alpha_hat * beta_hat
-            gamma /= np.maximum(gamma.sum(axis=2, keepdims=True), _TINY)
-            # xi weight w[b, t, j] = obs * beta_hat / c_t, so a sequence's
-            # xi_sum is A * (alpha_hat[:-1].T @ w[1:]).
-            xi_weight = obs * beta_hat / scale[:, :, None]
-
-        if max_len > 1:
-            # Mask invalid (padded / underflowed) timestep pairs by
-            # *assignment*, not multiplication: an underflowed row can hold
-            # inf in xi_weight, and inf * 0 would poison its matmul with NaN.
-            valid = np.arange(1, max_len)[None, :] < lengths[:, None]
-            pair_ok = (valid & ~underflow[:, None])[:, :, None]
-            a = np.where(pair_ok, alpha_hat[:, :-1, :], 0.0)
-            w = np.where(pair_ok, xi_weight[:, 1:, :], 0.0)
-            xi_rows = transmat * (a.transpose(0, 2, 1) @ w)
-        else:
-            xi_rows = np.zeros((batch, n_states, n_states))
-
-        if underflow.any():
-            log_pi, log_A = safe_log(startprob), safe_log(transmat)
-            for b in np.flatnonzero(underflow):  # repro: loop-ok[rare underflow repair]
-                length = int(lengths[b])
-                ref = compute_posteriors_from_log(log_pi, log_A, log_b[b, :length])
-                gamma[b, :length] = ref.gamma
-                xi_rows[b] = ref.xi_sum
-                log_likelihoods[b] = ref.log_likelihood
-        return gamma, xi_rows, log_likelihoods
+        # The shifts are spent: their buffer takes the posterior row sums.
+        norms = shift
+        xi = self._backward_packed(transmat, plan, obs, alpha, scale, norms, xi_ranks)
+        usable = (scale >= _TINY) & (norms >= _TINY) & (norms < np.inf)
+        failed = np.unique(plan.ranks[~usable]) if not usable.all() else usable[:0]
+        return alpha, xi, xi_ranks, lls, failed
 
     # -------------------------------------------------------------- #
     # Compiled-corpus kernels (zero per-sequence Python on the hot path)
     # -------------------------------------------------------------- #
     def forward_backward_corpus(
-        self, startprob, transmat, corpus, scores_ext,
+        self, startprob, transmat, corpus, scores,
         log_startprob=None, log_transmat=None, sequence_xi=False,
     ) -> CorpusPosteriors:
-        startprob, transmat, scores_ext = self._check_corpus(
-            startprob, transmat, corpus, scores_ext
+        startprob, transmat, scores = self._check_corpus(
+            startprob, transmat, corpus, scores
         )
         n_states = startprob.shape[0]
-        # One sentinel row absorbs every padded scatter position.
-        gamma_ext = np.empty((corpus.n_tokens + 1, n_states))
+        # The packed observation weights are built in gamma's buffer, and
+        # the packed posteriors land in it once those weights are spent.
+        gamma = np.empty((corpus.n_tokens, n_states))
         start_counts = np.zeros(n_states)
         xi_sum = np.zeros((n_states, n_states))
         xi_seq = (
             np.empty((corpus.n_sequences, n_states, n_states)) if sequence_xi else None
         )
         lls = np.empty(corpus.n_sequences)
-
-        for bucket in corpus.buckets:
-            gamma, xi_rows, ll_part = self._fb_corpus_bucket(
-                startprob, transmat, corpus.gather(scores_ext, bucket),
-                bucket.lengths,
-            )
-            gamma_ext[bucket.positions] = gamma
-            # Only the per-sequence entry points keep the rows; training
-            # reads the bucket total alone.
-            xi_sum += xi_rows.sum(axis=0)
-            start_counts += gamma[:, 0].sum(axis=0)
-            lls[bucket.idx] = ll_part
-            if xi_seq is not None:
-                xi_seq[bucket.idx] = xi_rows
+        plan = corpus.packed
+        repair: list[int] = []
+        # Sequences the probability domain cannot represent overflow or
+        # divide by zero on their way to being flagged; they are recomputed
+        # with the log-domain reference below, so no warning is meaningful.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while plan.n_rows:
+                packed, xi, xi_ranks, part_lls, failed = self._fb_packed(
+                    startprob, transmat, plan, scores, gamma, sequence_xi
+                )
+                if failed.size:
+                    # Rare: drop the failed sequences and run the rest again,
+                    # so none of their rows reaches xi_sum.
+                    repair += plan.order[failed].tolist()
+                    plan = PackedPlan.build(
+                        np.sort(np.delete(plan.order, failed)),
+                        corpus.lengths,
+                        corpus.offsets,
+                    )
+                    continue
+                np.take(packed, plan.inverse, axis=0, out=gamma, mode="clip")
+                start_counts += packed[: plan.order.size].sum(axis=0)
+                xi_sum += transmat * xi
+                lls[plan.order] = part_lls
+                if xi_seq is not None:
+                    xi_seq[plan.order] = transmat * xi_ranks
+                break
+            if repair:
+                log_pi, log_A = safe_log(startprob), safe_log(transmat)
+                for j in repair:
+                    lo, hi = corpus.offsets[j], corpus.offsets[j + 1]
+                    ref = compute_posteriors_from_log(log_pi, log_A, scores[lo:hi])
+                    gamma[lo:hi] = ref.gamma
+                    xi_sum += ref.xi_sum
+                    start_counts += ref.gamma[0]
+                    lls[j] = ref.log_likelihood
+                    if xi_seq is not None:
+                        xi_seq[j] = ref.xi_sum
         for lw in corpus.long_windows:
-            # Long sequences bypass the padded buckets: the block-wise
+            # Long sequences stay out of the packed plan: the block-wise
             # segment scan over a view of the corpus score table keeps the
             # working set at a few blocks per sequence, whatever T is.
             r = checkpointed_posteriors(
                 startprob,
                 transmat,
-                ArraySource(scores_ext[lw.offset : lw.offset + lw.length]),
+                ArraySource(scores[lw.offset : lw.offset + lw.length]),
             )
-            gamma_ext[lw.offset : lw.offset + lw.length] = r.gamma
+            gamma[lw.offset : lw.offset + lw.length] = r.gamma
             xi_sum += r.xi_sum
             start_counts += r.gamma[0]
             lls[lw.seq_index] = r.log_likelihood
             if xi_seq is not None:
                 xi_seq[lw.seq_index] = r.xi_sum
         return CorpusPosteriors(
-            gamma_concat=gamma_ext[:-1],
+            gamma_concat=gamma,
             start_counts=start_counts,
             xi_sum=xi_sum,
             log_likelihoods=lls,
@@ -416,31 +477,32 @@ class ScaledBatchedBackend(InferenceBackend):
         )
 
     def viterbi_corpus(
-        self, startprob, transmat, corpus, scores_ext,
+        self, startprob, transmat, corpus, scores,
         log_startprob=None, log_transmat=None,
     ) -> list[tuple[np.ndarray, float]]:
-        startprob, transmat, scores_ext = self._check_corpus(
-            startprob, transmat, corpus, scores_ext
+        startprob, transmat, scores = self._check_corpus(
+            startprob, transmat, corpus, scores
         )
         log_pi, log_AT = self._viterbi_log_params(
             startprob, transmat, log_startprob, log_transmat
         )
+        plan = corpus.packed
         results: list[tuple[np.ndarray, float]] = [None] * corpus.n_sequences
-
-        for bucket in corpus.buckets:
-            bucket_results = self._viterbi_bucket(
-                log_pi, log_AT, corpus.gather(scores_ext, bucket),
-                bucket.lengths,
+        if plan.n_rows:
+            packed_paths, packed_joints = self._viterbi_packed(
+                log_pi, log_AT, plan, scores
             )
-            for j, res in zip(bucket.idx, bucket_results):
-                results[j] = res
+            paths = packed_paths[plan.inverse]
+            joints = np.empty(corpus.n_sequences)
+            joints[plan.order] = packed_joints
+            results = list(zip(corpus.split(paths), joints.tolist()))
         for lw in corpus.long_windows:
             # Long sequences decode through the chunked stitcher instead of
-            # one giant padded bucket row.
+            # adding T steps to the packed recursion.
             long_res = self.viterbi_long(
                 startprob,
                 transmat,
-                ArraySource(scores_ext[lw.offset : lw.offset + lw.length]),
+                ArraySource(scores[lw.offset : lw.offset + lw.length]),
                 window=lw.window,
                 overlap=lw.overlap,
                 log_startprob=log_startprob,
@@ -450,35 +512,117 @@ class ScaledBatchedBackend(InferenceBackend):
         return results
 
     def log_likelihood_corpus(
-        self, startprob, transmat, corpus, scores_ext,
+        self, startprob, transmat, corpus, scores,
         log_startprob=None, log_transmat=None,
     ) -> np.ndarray:
-        startprob, transmat, scores_ext = self._check_corpus(
-            startprob, transmat, corpus, scores_ext
+        startprob, transmat, scores = self._check_corpus(
+            startprob, transmat, corpus, scores
         )
         lls = np.empty(corpus.n_sequences)
-
-        for bucket in corpus.buckets:
-            log_b = corpus.gather(scores_ext, bucket)
-            _, _, _, _, bucket_lls, underflow = self._forward_bucket(
-                startprob, transmat, log_b, bucket.lengths
+        plan = corpus.packed
+        if plan.n_rows:
+            obs, shift = self._packed_obs(
+                scores, plan, np.empty((plan.n_rows, startprob.shape[0]))
             )
-            if underflow.any():
+            scale = np.empty(plan.n_rows)
+            # Only the likelihood is wanted: the messages overwrite the weights.
+            self._forward_packed(startprob, transmat, plan, obs, obs, scale)
+            lls[plan.order] = self._packed_log_likelihoods(plan, scale, shift)
+            vanished = plan.order[np.unique(plan.ranks[~(scale >= _TINY)])]
+            if vanished.size:
                 log_pi, log_A = safe_log(startprob), safe_log(transmat)
-                for b in np.flatnonzero(underflow):
+                for j in vanished:
                     log_alpha = log_forward(
-                        log_pi, log_A, log_b[b, : bucket.lengths[b]]
+                        log_pi, log_A, scores[corpus.offsets[j] : corpus.offsets[j + 1]]
                     )
-                    bucket_lls[b] = float(logsumexp(log_alpha[-1]))
-            lls[bucket.idx] = bucket_lls
+                    lls[j] = float(logsumexp(log_alpha[-1]))
         for lw in corpus.long_windows:
             # Forward-only segment scan: one block of memory per long sequence.
             lls[lw.seq_index] = streaming_log_likelihood(
                 startprob,
                 transmat,
-                ArraySource(scores_ext[lw.offset : lw.offset + lw.length]),
+                ArraySource(scores[lw.offset : lw.offset + lw.length]),
             )
         return lls
+
+    def _viterbi_packed(  # repro: hot-path
+        self,
+        log_startprob: np.ndarray,
+        log_transmat_T: np.ndarray,
+        plan: PackedPlan,
+        scores: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fused Viterbi over a packed corpus.
+
+        The step of :meth:`_viterbi_bucket` — broadcast add against the
+        contiguous ``log A^T``, argmax, flat gather of the winners, add of
+        the observation rows — runs on the *active prefix*: the sequences
+        alive at step ``t`` are the first ``n_t`` ranks, and their
+        observation rows one contiguous block of the packed table.  Every
+        elementary operation matches :func:`viterbi_decode_from_log`, so
+        paths and joint log-probabilities are bit-identical to the
+        reference, ties included.  Backpointers are packed like the
+        observations (step 0's rows stay unused), in the smallest dtype that
+        indexes the state space.
+
+        Returns the packed path (one state per packed row) and each rank's
+        joint log-probability.
+        """
+        sizes = plan.batch_sizes.tolist()
+        offsets = plan.step_offsets.tolist()
+        n_seq = sizes[0]
+        n_states = log_transmat_T.shape[0]
+        log_b = np.take(scores, plan.rows, axis=0, mode="clip")
+
+        delta = log_startprob[None, :] + log_b[:n_seq]
+        backpointers = np.empty(
+            (plan.n_rows, n_states), dtype=viterbi_backpointer_dtype(n_states)
+        )
+        self.last_backpointer_dtype = backpointers.dtype
+        self.last_backpointer_shape = backpointers.shape
+        # Row tiles bound the (rows, K, K) step buffer, which would
+        # otherwise grow with the corpus as n_seq * K^2.
+        width = min(n_seq, max(1, _VITERBI_TILE_BYTES // (8 * n_states * n_states)))
+        step_scores = np.empty((width, n_states, n_states))
+        arg = np.empty((width, n_states), dtype=np.intp)
+        best = np.empty(width * n_states)
+        gather_idx = np.empty(width * n_states, dtype=np.intp)
+        flat_offsets = np.arange(width * n_states, dtype=np.intp) * n_states
+        for t in range(1, len(sizes)):  # repro: loop-ok[inherent time recursion]
+            lo = offsets[t]
+            for r0 in range(0, sizes[t], width):  # repro: loop-ok[row tiles of one step]
+                r1 = min(r0 + width, sizes[t])
+                flat = (r1 - r0) * n_states
+                sub_scores = step_scores[: r1 - r0]
+                sub_arg = arg[: r1 - r0]
+                np.add(delta[r0:r1, None, :], log_transmat_T[None, :, :], out=sub_scores)
+                sub_scores.argmax(axis=2, out=sub_arg)
+                np.add(flat_offsets[:flat], sub_arg.reshape(-1), out=gather_idx[:flat])
+                np.take(sub_scores.reshape(-1), gather_idx[:flat], out=best[:flat])
+                np.add(
+                    best[:flat].reshape(r1 - r0, n_states),
+                    log_b[lo + r0 : lo + r1],
+                    out=delta[r0:r1],
+                )
+                backpointers[lo + r0 : lo + r1] = sub_arg
+
+        state = delta.argmax(axis=1)
+        log_joint = delta[np.arange(n_seq), state]
+
+        # Backtrack.  ``state`` holds each rank's state at the current step;
+        # a rank whose sequence ends at step t keeps its final state until
+        # then, because only the prefix still running past t is updated.
+        paths = np.empty(plan.n_rows, dtype=np.int64)
+        flat_bp = backpointers.reshape(-1)
+        rank_offsets = np.arange(n_seq, dtype=np.intp) * n_states
+        last = len(sizes) - 1
+        paths[offsets[last] :] = state[: sizes[last]]
+        for t in range(last - 1, -1, -1):  # repro: loop-ok[inherent backtrack recursion]
+            m = sizes[t + 1]
+            base = offsets[t + 1] * n_states
+            state[:m] = flat_bp[rank_offsets[:m] + state[:m] + base]
+            paths[offsets[t] : offsets[t] + sizes[t]] = state[: sizes[t]]
+        return paths, log_joint
 
     def _viterbi_bucket(  # repro: hot-path
         self,
@@ -605,7 +749,7 @@ class ScaledBatchedBackend(InferenceBackend):
         Each group of windows becomes one padded ``(G, window, K)`` bucket
         decoded by :meth:`_viterbi_bucket` — no per-window repack, no
         length sorting (all windows have equal length).  ``group_size``
-        defaults to the backend's ``bucket_size``.
+        defaults to :data:`LONG_GROUP_SIZE`.
         """
         startprob = np.asarray(startprob, dtype=np.float64)
         transmat = np.asarray(transmat, dtype=np.float64)
@@ -614,7 +758,7 @@ class ScaledBatchedBackend(InferenceBackend):
             startprob, transmat, log_startprob, log_transmat
         )
         if group_size is None:
-            group_size = self.bucket_size
+            group_size = LONG_GROUP_SIZE
 
         def decode_bucket(start_log, padded, lengths):
             return self._viterbi_bucket(start_log, log_AT, padded, lengths)
@@ -635,7 +779,7 @@ class ScaledBatchedBackend(InferenceBackend):
 class LogDomainBackend(InferenceBackend):
     """Reference backend: the original per-sequence log-space recursions.
 
-    Loops over the corpus one sequence at a time (``corpus.tables``) and
+    Loops over the corpus one sequence at a time (``corpus.split``) and
     runs :func:`repro.hmm.forward_backward.compute_posteriors_from_log` /
     :func:`repro.hmm.viterbi.viterbi_decode_from_log` on each, exactly as
     calling them sequence by sequence would; long sequences are decoded
@@ -647,24 +791,24 @@ class LogDomainBackend(InferenceBackend):
     name = "log"
 
     def _prepare(
-        self, startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+        self, startprob, transmat, corpus, scores, log_startprob, log_transmat
     ):
         """Checked ``(log pi, log A, per-sequence tables)`` for the loops below."""
-        startprob, transmat, scores_ext = self._check_corpus(
-            startprob, transmat, corpus, scores_ext
+        startprob, transmat, scores = self._check_corpus(
+            startprob, transmat, corpus, scores
         )
         if log_startprob is None:
             log_startprob = safe_log(startprob)
         if log_transmat is None:
             log_transmat = safe_log(transmat)
-        return log_startprob, log_transmat, corpus.tables(scores_ext)
+        return log_startprob, log_transmat, corpus.split(scores)
 
     def forward_backward_corpus(
-        self, startprob, transmat, corpus, scores_ext,
+        self, startprob, transmat, corpus, scores,
         log_startprob=None, log_transmat=None, sequence_xi=False,
     ) -> CorpusPosteriors:
         log_pi, log_A, tables = self._prepare(
-            startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+            startprob, transmat, corpus, scores, log_startprob, log_transmat
         )
         results = [compute_posteriors_from_log(log_pi, log_A, table) for table in tables]
         xi = np.array([r.xi_sum for r in results])
@@ -677,20 +821,20 @@ class LogDomainBackend(InferenceBackend):
         )
 
     def viterbi_corpus(
-        self, startprob, transmat, corpus, scores_ext,
+        self, startprob, transmat, corpus, scores,
         log_startprob=None, log_transmat=None,
     ) -> list[tuple[np.ndarray, float]]:
         log_pi, log_A, tables = self._prepare(
-            startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+            startprob, transmat, corpus, scores, log_startprob, log_transmat
         )
         return [viterbi_decode_from_log(log_pi, log_A, table) for table in tables]
 
     def log_likelihood_corpus(
-        self, startprob, transmat, corpus, scores_ext,
+        self, startprob, transmat, corpus, scores,
         log_startprob=None, log_transmat=None,
     ) -> np.ndarray:
         log_pi, log_A, tables = self._prepare(
-            startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+            startprob, transmat, corpus, scores, log_startprob, log_transmat
         )
         return np.array(
             [float(logsumexp(log_forward(log_pi, log_A, table)[-1])) for table in tables]
@@ -729,7 +873,7 @@ class LogDomainBackend(InferenceBackend):
             source,
             window=window,
             overlap=overlap,
-            group_size=64 if group_size is None else group_size,
+            group_size=LONG_GROUP_SIZE if group_size is None else group_size,
             decode_bucket=decode_bucket,
         )
 
@@ -1038,7 +1182,7 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
-def build_backend(name: str, bucket_size: int = 64) -> InferenceBackend:
+def build_backend(name: str) -> InferenceBackend:
     """Instantiate a backend by name (``"scaled"`` or ``"log"``)."""
     try:
         cls = _BACKENDS[name]
@@ -1046,6 +1190,4 @@ def build_backend(name: str, bucket_size: int = 64) -> InferenceBackend:
         raise ValueError(
             f"unknown inference backend {name!r}; available: {available_backends()}"
         ) from None
-    if cls is ScaledBatchedBackend:
-        return cls(bucket_size=bucket_size)
     return cls()

@@ -119,12 +119,13 @@ class BaumWelchTrainer:
         already-compiled :class:`~repro.hmm.corpus.CompiledCorpus` (e.g.
         shared with a subsequent batched decode).  Raw sequences are
         compiled once up front, so every EM iteration reuses the same
-        concatenated token arrays, bucket assignments and padded index
-        tensors: per iteration the corpus is re-scored with one vectorized
-        emission call (:meth:`CompiledCorpus.score`), the E-step is one
-        :meth:`InferenceEngine.posteriors_corpus` call (a gather + recursion
-        + scatter per bucket), and the M-step consumes the stacked
-        statistics directly — no per-sequence Python anywhere in the loop.
+        concatenated token arrays and packed time-major plan: per iteration
+        the corpus is re-scored with one vectorized emission call
+        (:meth:`CompiledCorpus.score`), the E-step is one
+        :meth:`InferenceEngine.posteriors_corpus` call (one gather, one
+        packed recursion, one gather back), and the M-step consumes the
+        stacked statistics directly — no per-sequence Python anywhere in
+        the loop.
         """
         if isinstance(sequences, CompiledCorpus):
             corpus = sequences
@@ -147,6 +148,9 @@ class BaumWelchTrainer:
                 converged = True
                 break
             self._m_step(model, corpus, stats)
+            # Release the posteriors before the next E-step allocates its
+            # own, so two corpus-sized gamma arrays are never alive at once.
+            del stats
 
         if not converged and self.warn_on_no_convergence:
             warnings.warn(

@@ -1,25 +1,27 @@
 """Compiled corpus: encode a dataset once, reuse it across every EM iteration.
 
 Training hammers the same corpus over and over: every EM iteration re-scores
-the same observations, re-buckets the same lengths, re-pads the same index
-structure and then walks the sequences in Python to accumulate statistics.
-None of that structure changes between iterations — only the model
-parameters do.  :class:`CompiledCorpus` hoists all of it out of the loop:
+the same observations and walks the same sequences through the same
+recursions.  None of that structure changes between iterations — only the
+model parameters do.  :class:`CompiledCorpus` hoists all of it out of the
+loop:
 
 * the observations are concatenated into one flat token array (``concat``),
   so emission scoring is a single vectorized call per iteration — one
   ``(K, V)`` log-table lookup for categorical emissions, one matmul pair for
-  Bernoulli;
-* the sequences are assigned to padded length-buckets once, and each bucket
-  stores a ``(B, L_max)`` *position tensor* indexing into the concatenated
-  array (padding points at a sentinel row), so materializing a bucket's
-  ``(B, L_max, K)`` emission tensor is one fancy-index — no per-sequence
-  Python, no re-padding;
-* the same position tensors serve as scatter maps on the way back: bucket
-  level posteriors are written into a concatenated ``(N, K)`` ``gamma``
-  array with one fancy-index assignment per bucket, which is exactly the
-  layout the vectorized emission M-steps (bincount / matmul over the flat
-  corpus) consume.
+  Bernoulli — returning an ``(n_tokens, K)`` table in the same order;
+* the sequences are packed time-major once (:class:`PackedPlan`, the
+  ``PackedSequence`` layout of PyTorch's ``pack_padded_sequence``): sorted
+  by length, longest first, so the ``n_t`` sequences still active at step
+  ``t`` are the leading ranks and their tokens occupy one contiguous block
+  of packed rows.  A recursion step over the whole corpus is then a slice
+  — no padding, no mask — and the number of Python steps is the longest
+  sequence's length, not a sum over length-buckets;
+* the plan's ``rows`` map each packed row to its concatenated token, so
+  the kernels gather their packed inputs from the score table and scatter
+  posteriors back into a concatenated ``(N, K)`` ``gamma`` with one
+  fancy-index each — exactly the layout the vectorized emission M-steps
+  (bincount / matmul over the flat corpus) consume.
 
 The compiled structure is emission-agnostic (it stores the raw observation
 arrays) and model-agnostic (no probabilities are baked in), so one compile
@@ -30,6 +32,7 @@ batched decode over the same dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -40,34 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hmm.emissions.base import EmissionModel
 
 
-def bucket_indices(lengths: Sequence[int], bucket_size: int) -> list[np.ndarray]:
-    """Group sequence indices into padded length-buckets.
-
-    Sequences are sorted by length (stable) and chunked into groups of at
-    most ``bucket_size``, so each bucket holds sequences of similar length
-    and the padding waste of processing the bucket as one dense
-    ``(B, L_max, K)`` tensor stays small.
-
-    Returns
-    -------
-    list of integer arrays, each an index set into the original ordering.
-    """
-    if bucket_size < 1:
-        raise ValueError(f"bucket_size must be positive, got {bucket_size}")
-    order = np.argsort(np.asarray(lengths), kind="stable")
-    return [order[i : i + bucket_size] for i in range(0, order.size, bucket_size)]
-
-
 @dataclass(frozen=True)
 class LongSequenceWindows:
     """Window-decode plan for one long sequence of a :class:`CompiledCorpus`.
 
     Sequences longer than the corpus' ``long_threshold`` are kept out of
-    the padded length-buckets — one ``(1, T, K)`` bucket row would both
-    serialize the recursion and materialize O(T * K) tensors — and instead
-    carry this plan: the inference backends route them through the chunked
-    long-sequence kernels (:mod:`repro.hmm.longseq`) over a view of the
-    corpus score table.
+    the packed plan — one such sequence would add T serial recursion steps
+    for every corpus kernel call and materialize O(T * K) tensors — and
+    instead carry this plan: the inference backends route them through the
+    chunked long-sequence kernels (:mod:`repro.hmm.longseq`) over a view of
+    the corpus score table.
 
     Attributes
     ----------
@@ -95,31 +80,79 @@ class LongSequenceWindows:
         return len(plan_windows(self.length, self.window, self.overlap))
 
 
-@dataclass(frozen=True)
-class CorpusBucket:
-    """One padded length-bucket of a :class:`CompiledCorpus`.
+@dataclass(frozen=True, eq=False)
+class PackedPlan:
+    """Time-major packed layout of a set of sequences.
+
+    The sequences are ranked by length, longest first (ties keep corpus
+    order), and stored step by step: step ``t`` holds one packed row for
+    each of the ``batch_sizes[t]`` sequences longer than ``t`` — ranks
+    ``0 .. batch_sizes[t] - 1`` in rank order — at packed rows
+    ``step_offsets[t] .. step_offsets[t + 1] - 1``.  Because
+    ``batch_sizes`` never increases, the rows active at step ``t`` are a
+    prefix of the rows active at step ``t - 1``.
 
     Attributes
     ----------
-    idx:
-        ``(B,)`` sequence indices (into the corpus ordering) of the bucket.
-    lengths:
-        ``(B,)`` sequence lengths, aligned with ``idx``.
-    positions:
-        ``(B, L_max)`` int64 indices into the concatenated token array;
-        padded slots hold ``n_tokens`` (the sentinel row appended by
-        :meth:`CompiledCorpus.score`).  Used both to *gather* padded
-        emission tensors and to *scatter* bucket posteriors back into the
-        flat ``(N, K)`` layout.
+    order:
+        ``(S,)`` sequence indices (into the corpus ordering) by rank.
+    batch_sizes:
+        ``(L,)`` number of sequences active at each step; ``L`` is the
+        longest length and ``batch_sizes[0] == S``.
+    step_offsets:
+        ``(L + 1,)`` first packed row of each step (cumulative
+        ``batch_sizes``).
+    rows:
+        ``(R,)`` concatenated-token index of every packed row: the
+        permutation from packed order to concatenated order.
+    ranks:
+        ``(R,)`` rank of the sequence every packed row belongs to.
+    n_tokens:
+        Length of the concatenated token array the rows index.
     """
 
-    idx: np.ndarray
-    lengths: np.ndarray
-    positions: np.ndarray
+    order: np.ndarray
+    batch_sizes: np.ndarray
+    step_offsets: np.ndarray
+    rows: np.ndarray
+    ranks: np.ndarray
+    n_tokens: int
+
+    @classmethod
+    def build(cls, idx: np.ndarray, lengths: np.ndarray, offsets: np.ndarray) -> "PackedPlan":
+        """Pack sequences ``idx`` given the corpus' ``lengths`` / ``offsets``."""
+        idx = np.asarray(idx, dtype=np.intp)
+        order = idx[np.argsort(-lengths[idx], kind="stable")]
+        neg_lengths = -lengths[order]  # ascending
+        max_len = -int(neg_lengths[0]) if order.size else 0
+        steps = np.arange(max_len, dtype=np.intp)
+        # batch_sizes[t] = number of sequences longer than t.
+        batch_sizes = np.searchsorted(neg_lengths, -steps)
+        step_offsets = np.zeros(max_len + 1, dtype=np.intp)
+        np.cumsum(batch_sizes, out=step_offsets[1:])
+        ranks = np.arange(step_offsets[-1], dtype=np.intp) - np.repeat(
+            step_offsets[:-1], batch_sizes
+        )
+        # Packed row (t, rank) is token t of sequence order[rank].
+        rows = offsets[order][ranks] + np.repeat(steps, batch_sizes)
+        return cls(order, batch_sizes, step_offsets, rows, ranks, int(offsets[-1]))
 
     @property
-    def max_len(self) -> int:
-        return self.positions.shape[1]
+    def n_rows(self) -> int:
+        """Number of packed rows (tokens of the packed sequences)."""
+        return int(self.rows.size)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """``(n_tokens,)`` packed row of every concatenated token.
+
+        Tokens of sequences outside the plan map to row 0.  Packed results
+        return to concatenated order through this map with one gather,
+        which is faster than scattering through ``rows``.
+        """
+        inverse = np.zeros(self.n_tokens, dtype=np.intp)
+        inverse[self.rows] = np.arange(self.n_rows, dtype=np.intp)
+        return inverse
 
 
 class CompiledCorpus:
@@ -130,12 +163,8 @@ class CompiledCorpus:
     sequences:
         Observation sequences (1-D for categorical/Gaussian emissions, 2-D
         ``(T, D)`` for Bernoulli).  All sequences must share dimensionality.
-    bucket_size:
-        Maximum number of sequences per padded length-bucket; align it with
-        the inference backend's ``bucket_size``
-        (:meth:`repro.hmm.engine.InferenceEngine.compile` does).
     long_threshold:
-        Sequences longer than this stay out of the padded buckets and are
+        Sequences longer than this stay out of the packed plan and are
         compiled into :class:`LongSequenceWindows` plans instead (see
         ``long_windows``); ``None`` (the default for direct construction)
         disables long-sequence routing.
@@ -149,13 +178,10 @@ class CompiledCorpus:
     def __init__(
         self,
         sequences: Sequence[np.ndarray],
-        bucket_size: int = 64,
         long_threshold: int | None = None,
         decode_window: int | None = None,
         decode_overlap: int | None = None,
     ) -> None:
-        if bucket_size < 1:
-            raise ValidationError(f"bucket_size must be positive, got {bucket_size}")
         if decode_window is None:
             decode_window = 4096
         if decode_overlap is None:
@@ -183,7 +209,6 @@ class CompiledCorpus:
             if arr.ndim == 0 or arr.shape[0] < 1:
                 raise DimensionMismatchError("sequences must have at least one timestep")
         self.sequences = arrays
-        self.bucket_size = int(bucket_size)
         self.lengths = np.array([a.shape[0] for a in arrays], dtype=np.int64)
         self.offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
         np.cumsum(self.lengths, out=self.offsets[1:])
@@ -191,9 +216,9 @@ class CompiledCorpus:
         self.long_threshold = long_threshold
         self.decode_window = int(decode_window)
         self.decode_overlap = int(decode_overlap)
-        # Long sequences (length > long_threshold) bypass the padded
-        # buckets entirely: they compile into window-decode plans the
-        # backends route through the chunked long-sequence kernels.
+        # Long sequences (length > long_threshold) stay out of the packed
+        # plan: they compile into window-decode plans the backends route
+        # through the chunked long-sequence kernels.
         self.long_windows: list[LongSequenceWindows] = []
         if long_threshold is not None:
             long_mask = self.lengths > long_threshold
@@ -209,21 +234,8 @@ class CompiledCorpus:
                 )
             short_idx = np.flatnonzero(~long_mask)
         else:
-            short_idx = np.arange(len(arrays), dtype=np.int64)
-        self.buckets: list[CorpusBucket] = []
-        for sub in bucket_indices(self.lengths[short_idx], self.bucket_size):
-            idx = short_idx[sub]
-            blens = self.lengths[idx]
-            max_len = int(blens.max())
-            span = np.arange(max_len, dtype=np.int64)
-            positions = np.where(
-                span[None, :] < blens[:, None],
-                self.offsets[idx][:, None] + span[None, :],
-                self.n_tokens,
-            )
-            self.buckets.append(
-                CorpusBucket(idx=idx, lengths=blens, positions=positions)
-            )
+            short_idx = np.arange(len(arrays))
+        self.packed = PackedPlan.build(short_idx, self.lengths, self.offsets)
 
     # -------------------------------------------------------------- #
     @property
@@ -238,53 +250,27 @@ class CompiledCorpus:
 
     # -------------------------------------------------------------- #
     def score(self, emissions: "EmissionModel") -> np.ndarray:  # repro: hot-path
-        """Emission log-likelihoods of the whole corpus, ready to gather.
+        """Emission log-likelihoods of the whole corpus.
 
-        Returns an ``(n_tokens + 1, K)`` table: the concatenated corpus is
-        scored with one vectorized call
-        (:meth:`~repro.hmm.emissions.base.EmissionModel.log_likelihoods`)
-        and a zero sentinel row is appended so padded bucket positions
-        gather finite zeros — exactly the padding the bucket kernels were
-        written against.
+        Returns the ``(n_tokens, K)`` table in concatenated token order:
+        the concatenated corpus is scored with one vectorized call
+        (:meth:`~repro.hmm.emissions.base.EmissionModel.log_likelihoods`).
+        Callers deriving their own corpus-level scores (e.g. baselines
+        re-weighting log-likelihoods before decoding) pass any table of
+        this shape to the corpus kernels instead.
         """
-        return self.extend_scores(emissions.log_likelihoods(self.concat))
-
-    def extend_scores(self, scores: np.ndarray) -> np.ndarray:  # repro: hot-path
-        """Append the padding sentinel row to a custom ``(n_tokens, K)`` table.
-
-        For callers that derive their own corpus-level emission scores
-        (e.g. baselines re-weighting log-likelihoods before decoding)
-        instead of going through :meth:`score`.
-        """
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.ndim != 2 or scores.shape[0] != self.n_tokens:
-            raise DimensionMismatchError(
-                f"corpus score table must have shape ({self.n_tokens}, K), "
-                f"got {scores.shape}"
-            )
-        ext = np.empty((self.n_tokens + 1, scores.shape[1]))
-        ext[:-1] = scores
-        ext[-1] = 0.0
-        return ext
-
-    def gather(
-        self, scores_ext: np.ndarray, bucket: CorpusBucket
-    ) -> np.ndarray:  # repro: hot-path
-        """Padded ``(B, L_max, K)`` emission tensor of one bucket (one fancy-index)."""
-        return scores_ext[bucket.positions]
+        return emissions.log_likelihoods(self.concat)
 
     def split(self, concat_values: np.ndarray) -> list[np.ndarray]:
         """Split a ``(n_tokens, ...)`` array into per-sequence views."""
-        return np.split(concat_values, self.offsets[1:-1])
-
-    def tables(self, scores_ext: np.ndarray) -> list[np.ndarray]:
-        """Per-sequence ``(T, K)`` emission tables (views into ``scores_ext``)."""
-        return self.split(scores_ext[:-1])
+        # Plain slicing: np.split pays a few microseconds per piece.
+        bounds = self.offsets.tolist()
+        return [concat_values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"CompiledCorpus(n_sequences={self.n_sequences}, "
-            f"n_tokens={self.n_tokens}, n_buckets={len(self.buckets)}, "
+            f"n_tokens={self.n_tokens}, max_packed_len={self.packed.batch_sizes.size}, "
             f"n_long={len(self.long_windows)})"
         )
 

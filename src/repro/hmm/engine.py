@@ -9,12 +9,12 @@ likelihood scoring.  It adds two things on top of the raw backends in
 
 * **One data path** — every batch runs over a
   :class:`~repro.hmm.corpus.CompiledCorpus` through the backend's corpus
-  kernels.  The scaled backend groups sequences into padded
-  length-buckets so each timestep is one ``(B, K) @ (K, K)`` matmul over
-  the bucket, and routes sequences past ``InferenceConfig.long_threshold``
-  through the chunked long-sequence kernels.  The ``*_batch`` methods
-  taking a list of per-sequence emission tables are thin adapters that
-  compile the tables as a corpus.
+  kernels.  The scaled backend walks the corpus' packed time-major layout,
+  so each timestep is one ``(n_t, K) @ (K, K)`` matmul over the ``n_t``
+  sequences still active, and routes sequences past
+  ``InferenceConfig.long_threshold`` through the chunked long-sequence
+  kernels.  The ``*_batch`` methods taking a list of per-sequence emission
+  tables are thin adapters that compile the tables as a corpus.
 * **Parameter caching** — derived parameters (``log(pi)``, ``log(A)`` and
   float64 copies of ``pi`` / ``A``) are computed once and reused across
   calls as long as the model parameters are unchanged, so repeated decodes
@@ -94,33 +94,19 @@ class InferenceEngine:
         :class:`~repro.hmm.backends.InferenceBackend` instance, or ``None``
         to follow the process-wide default from
         :func:`repro.core.config.get_inference_config`.
-    bucket_size:
-        Maximum sequences per padded length-bucket (scaled backend only);
-        ``None`` follows the process-wide default.
     """
 
-    def __init__(
-        self,
-        backend: str | InferenceBackend | None = None,
-        bucket_size: int | None = None,
-    ) -> None:
+    def __init__(self, backend: str | InferenceBackend | None = None) -> None:
         if isinstance(backend, InferenceBackend):
-            if bucket_size is not None:
-                raise ValueError(
-                    "bucket_size cannot be combined with a ready backend "
-                    "instance; configure the backend directly"
-                )
             self.backend = backend
         else:
-            if backend is None or bucket_size is None:
+            if backend is None:
                 # Imported lazily: repro.core imports the hmm layer, so a
                 # top-level import here would be circular.
                 from repro.core.config import get_inference_config
 
-                cfg = get_inference_config()
-                backend = backend if backend is not None else cfg.backend
-                bucket_size = bucket_size if bucket_size is not None else cfg.bucket_size
-            self.backend = build_backend(backend, bucket_size=bucket_size)
+                backend = get_inference_config().backend
+            self.backend = build_backend(backend)
         self._params: _CachedParams | None = None
 
     @property
@@ -139,17 +125,6 @@ class InferenceEngine:
     # -------------------------------------------------------------- #
     # Batched adapters over per-sequence emission tables
     # -------------------------------------------------------------- #
-    def _table_corpus(
-        self, log_obs_seqs: Sequence[np.ndarray]
-    ) -> tuple[CompiledCorpus, np.ndarray]:
-        """Compile ``(T, K)`` emission tables as a corpus of their own rows.
-
-        The concatenated tables are the corpus' score table, so the corpus
-        kernels (and their long-sequence routing) run on them unchanged.
-        """
-        corpus = self.compile(log_obs_seqs)
-        return corpus, corpus.extend_scores(corpus.concat)
-
     def posteriors_batch(
         self,
         startprob: np.ndarray,
@@ -161,13 +136,14 @@ class InferenceEngine:
         Each result carries the sequence's own ``xi_sum``.  On the scaled
         backend, sequences longer than ``InferenceConfig.long_threshold``
         take the block-wise segment scan (bounded working memory) and
-        the rest go through padded buckets; the ``log`` reference runs
+        the rest go through the packed kernel; the ``log`` reference runs
         every sequence whole.
         """
         if len(log_obs_seqs) == 0:
             return []
-        corpus, scores_ext = self._table_corpus(log_obs_seqs)
-        return self.sequence_posteriors_corpus(startprob, transmat, corpus, scores_ext)
+        # The concatenated tables are the corpus' own score table.
+        corpus = self.compile(log_obs_seqs)
+        return self.sequence_posteriors_corpus(startprob, transmat, corpus, corpus.concat)
 
     def viterbi_batch(
         self,
@@ -179,13 +155,14 @@ class InferenceEngine:
 
         On the scaled backend, sequences longer than
         ``InferenceConfig.long_threshold`` are decoded by the chunked
-        :meth:`viterbi_long` kernel instead of a padded bucket row; the
+        :meth:`viterbi_long` kernel instead of the packed recursion; the
         ``log`` reference decodes every sequence whole.
         """
         if len(log_obs_seqs) == 0:
             return []
-        corpus, scores_ext = self._table_corpus(log_obs_seqs)
-        return self.viterbi_corpus(startprob, transmat, corpus, scores_ext)
+        # The concatenated tables are the corpus' own score table.
+        corpus = self.compile(log_obs_seqs)
+        return self.viterbi_corpus(startprob, transmat, corpus, corpus.concat)
 
     def log_likelihood_batch(
         self,
@@ -201,8 +178,9 @@ class InferenceEngine:
         """
         if len(log_obs_seqs) == 0:
             return np.empty(0)
-        corpus, scores_ext = self._table_corpus(log_obs_seqs)
-        return self.log_likelihood_corpus(startprob, transmat, corpus, scores_ext)
+        # The concatenated tables are the corpus' own score table.
+        corpus = self.compile(log_obs_seqs)
+        return self.log_likelihood_corpus(startprob, transmat, corpus, corpus.concat)
 
     # -------------------------------------------------------------- #
     # Long-sequence (chunked / checkpointed) entry points
@@ -231,13 +209,12 @@ class InferenceEngine:
         ``source`` is a ``(T, K)`` emission log-likelihood table or a block
         source (:func:`repro.hmm.longseq.as_source`); knobs default to
         ``InferenceConfig.decode_window`` / ``decode_overlap`` resolved at
-        call time.  Peak working memory is ``O(group_size * window * K)``
-        regardless of T; the result carries stitch diagnostics (see
-        :class:`~repro.hmm.longseq.LongDecodeResult`).
+        call time, and ``group_size`` to
+        :data:`~repro.hmm.backends.LONG_GROUP_SIZE`.  Peak working memory is
+        ``O(group_size * window * K)`` regardless of T; the result carries
+        stitch diagnostics (see :class:`~repro.hmm.longseq.LongDecodeResult`).
         """
         window, overlap = self._long_knobs(window, overlap)
-        if group_size is None:
-            group_size = getattr(self.backend, "bucket_size", 64)
         p = self._cached(startprob, transmat)
         return self.backend.viterbi_long(
             p.startprob,
@@ -294,37 +271,35 @@ class InferenceEngine:
     def compile(self, sequences) -> CompiledCorpus:
         """Compile a dataset once for repeated inference through this engine.
 
-        The corpus is bucketed with the backend's ``bucket_size`` so its
-        precomputed padded index tensors line up exactly with the buckets
-        the backend would otherwise rebuild on every call.  The result is
+        The corpus is concatenated and packed time-major once, so no corpus
+        kernel rebuilds any index structure per call.  The result is
         emission- and parameter-agnostic: one compile serves every EM
         iteration and every decode over the same dataset.
 
         Sequences longer than ``InferenceConfig.long_threshold`` compile
         into window-decode plans (``corpus.long_windows``) instead of
-        padded bucket rows, so corpus-level decode/score/posterior calls
-        route them through the chunked long-sequence kernels.
+        packed rows, so corpus-level decode/score/posterior calls route
+        them through the chunked long-sequence kernels.
         """
         from repro.core.config import get_inference_config
 
         cfg = get_inference_config()
         return CompiledCorpus(
             sequences,
-            bucket_size=getattr(self.backend, "bucket_size", cfg.bucket_size),
             long_threshold=cfg.long_threshold,
             decode_window=cfg.decode_window,
             decode_overlap=cfg.decode_overlap,
         )
 
     def _dispatch_corpus(
-        self, method_name, startprob, transmat, corpus, scores_ext, **kwargs
+        self, method_name, startprob, transmat, corpus, scores, **kwargs
     ):
         p = self._cached(startprob, transmat)
         return getattr(self.backend, method_name)(
             p.startprob,
             p.transmat,
             corpus,
-            scores_ext,
+            scores,
             log_startprob=p.log_startprob,
             log_transmat=p.log_transmat,
             **kwargs,
@@ -335,18 +310,18 @@ class InferenceEngine:
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores_ext: np.ndarray,
+        scores: np.ndarray,
     ) -> CorpusPosteriors:
         """Stacked forward-backward statistics over a compiled corpus.
 
-        ``scores_ext`` is the ``(n_tokens + 1, K)`` emission table from
-        :meth:`CompiledCorpus.score`; the scaled backend gathers each
-        padded bucket from it with one fancy-index and scatters the
-        posteriors straight back into the concatenated layout, so an EM
-        iteration runs with zero per-sequence Python.
+        ``scores`` is the ``(n_tokens, K)`` emission table from
+        :meth:`CompiledCorpus.score`; the scaled backend gathers its packed
+        rows with one fancy-index and scatters the posteriors back into the
+        concatenated layout with another, so an EM iteration runs with zero
+        per-sequence Python.
         """
         return self._dispatch_corpus(
-            "forward_backward_corpus", startprob, transmat, corpus, scores_ext
+            "forward_backward_corpus", startprob, transmat, corpus, scores
         )
 
     def sequence_posteriors_corpus(
@@ -354,7 +329,7 @@ class InferenceEngine:
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores_ext: np.ndarray,
+        scores: np.ndarray,
     ) -> list[SequencePosteriors]:
         """Forward-backward posteriors of every corpus sequence, in order.
 
@@ -362,7 +337,7 @@ class InferenceEngine:
         carries the sequence's own ``xi_sum``, which training never needs.
         """
         stats = self._dispatch_corpus(
-            "forward_backward_corpus", startprob, transmat, corpus, scores_ext,
+            "forward_backward_corpus", startprob, transmat, corpus, scores,
             sequence_xi=True,
         )
         return [
@@ -377,11 +352,11 @@ class InferenceEngine:
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores_ext: np.ndarray,
+        scores: np.ndarray,
     ) -> list[tuple[np.ndarray, float]]:
         """Viterbi path and joint log-probability per corpus sequence."""
         return self._dispatch_corpus(
-            "viterbi_corpus", startprob, transmat, corpus, scores_ext
+            "viterbi_corpus", startprob, transmat, corpus, scores
         )
 
     def log_likelihood_corpus(
@@ -389,11 +364,11 @@ class InferenceEngine:
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores_ext: np.ndarray,
+        scores: np.ndarray,
     ) -> np.ndarray:
         """Log marginal likelihood of every corpus sequence (1-D array)."""
         return self._dispatch_corpus(
-            "log_likelihood_corpus", startprob, transmat, corpus, scores_ext
+            "log_likelihood_corpus", startprob, transmat, corpus, scores
         )
 
     # -------------------------------------------------------------- #

@@ -3,7 +3,7 @@ segment-parallel scan for forward-backward and the likelihood.
 
 Every batched inference path in :mod:`repro.hmm.backends` materializes
 ``O(T * K)`` recursion tensors per sequence.  At sentence scale that is the
-point — one padded bucket, one matmul per timestep — but a single
+point — one packed corpus, one matmul per timestep — but a single
 chromosome-scale annotation track (T in the millions) either exhausts
 memory or degenerates into one serial ``(1, K) @ (K, K)`` recursion with
 Python-loop overhead per timestep.  This module provides the genome-scale

@@ -123,9 +123,7 @@ class HMM:
 
         config = get_inference_config()
         if self._auto_engine is None or self._auto_engine_config != config:
-            self._auto_engine = InferenceEngine(
-                backend=config.backend, bucket_size=config.bucket_size
-            )
+            self._auto_engine = InferenceEngine(backend=config.backend)
             self._auto_engine_config = config
         return self._auto_engine
 
@@ -197,26 +195,26 @@ class HMM:
         agnostic: compile once, then train
         (:meth:`~repro.hmm.baum_welch.BaumWelchTrainer.fit` accepts it
         directly), decode (:meth:`predict_corpus`) and score
-        (:meth:`score_corpus`) against it without re-padding or re-bucketing.
+        (:meth:`score_corpus`) against it without re-encoding or re-packing.
         """
         return self.inference_engine.compile(sequences)
 
     def predict_corpus(self, corpus: CompiledCorpus) -> list[np.ndarray]:
         """Viterbi paths for every sequence of a compiled corpus."""
-        scores_ext = corpus.score(self.emissions)
+        scores = corpus.score(self.emissions)
         return [
             path
             for path, _ in self.inference_engine.viterbi_corpus(
-                self.startprob, self.transmat, corpus, scores_ext
+                self.startprob, self.transmat, corpus, scores
             )
         ]
 
     def score_corpus(self, corpus: CompiledCorpus) -> float:
         """Total log-likelihood of a compiled corpus."""
-        scores_ext = corpus.score(self.emissions)
+        scores = corpus.score(self.emissions)
         return float(
             self.inference_engine.log_likelihood_corpus(
-                self.startprob, self.transmat, corpus, scores_ext
+                self.startprob, self.transmat, corpus, scores
             ).sum()
         )
 

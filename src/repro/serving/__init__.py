@@ -14,7 +14,7 @@ persistence evolve independently:
 **Execution services** (subclasses of :class:`MicroBatchScheduler`)
 
 * :mod:`repro.serving.service` — :class:`TaggingService`, coalescing
-  concurrent tag/score requests into engine length-buckets;
+  concurrent tag/score requests into packed engine batches;
 * :mod:`repro.serving.router` — :class:`Router`, serving every registry
   model behind one queue with LRU lazy loading and warm-up;
 * :mod:`repro.serving.streaming_service` — :class:`StreamingService`,

@@ -8,7 +8,7 @@ tag (Viterbi) or score (log-likelihood) requests and get
 into micro-batches and this module's :class:`_ModelExecutor` compiles each
 micro-batch into :class:`~repro.hmm.corpus.CompiledCorpus` form, scores
 its emissions with one call and runs one corpus kernel per request kind,
-where the length-bucketed backend does the heavy lifting.  Per-request
+where the backend's packed time-major kernels do the heavy lifting.  Per-request
 decoding pays the engine's per-call Python overhead on every sequence;
 micro-batching amortizes it across the batch — that gap is measured by
 ``benchmarks/test_bench_serving.py``.
@@ -126,18 +126,17 @@ class _ModelExecutor:
         outcomes: list[tuple[bool, Any]] = [(True, None)] * len(batch)
         start = 0
         for kind, idx, corpus in groups:
-            scores_ext = corpus.extend_scores(table[start : start + corpus.n_tokens])
+            scores = table[start : start + corpus.n_tokens]
             start += corpus.n_tokens
             if kind == _TAG:
                 decoded = engine.viterbi_corpus(
-                    hmm.startprob, hmm.transmat, corpus, scores_ext
+                    hmm.startprob, hmm.transmat, corpus, scores
                 )
                 values = [path for path, _ in decoded]
             else:
-                scores = engine.log_likelihood_corpus(
-                    hmm.startprob, hmm.transmat, corpus, scores_ext
-                )
-                values = [float(value) for value in scores]
+                values = engine.log_likelihood_corpus(
+                    hmm.startprob, hmm.transmat, corpus, scores
+                ).tolist()
             for i, value in zip(idx, values):
                 outcomes[i] = (True, value)
         return outcomes

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import InferenceConfig, inference_backend, set_inference_config
+from repro.core.config import InferenceConfig, set_inference_config
 from repro.exceptions import DimensionMismatchError, ValidationError
 from repro.hmm import (
     HMM,
@@ -41,101 +41,109 @@ def random_problem(seed, n_states=4, n_symbols=8, lengths=(1, 2, 5, 17, 40, 3, 9
 class TestCompiledCorpusStructure:
     def test_concat_offsets_and_lengths(self):
         sequences = [np.array([1, 2]), np.array([3]), np.array([4, 5, 6])]
-        corpus = CompiledCorpus(sequences, bucket_size=2)
+        corpus = CompiledCorpus(sequences)
         assert corpus.n_sequences == 3
         assert corpus.n_tokens == 6
         np.testing.assert_array_equal(corpus.lengths, [2, 1, 3])
         np.testing.assert_array_equal(corpus.offsets, [0, 2, 3, 6])
         np.testing.assert_array_equal(corpus.concat, [1, 2, 3, 4, 5, 6])
 
-    def test_buckets_cover_every_sequence_once(self):
+    def test_packed_plan_covers_every_sequence_once(self):
         rng = np.random.default_rng(0)
         sequences = [rng.integers(0, 5, size=n) for n in rng.integers(1, 30, size=23)]
-        corpus = CompiledCorpus(sequences, bucket_size=4)
-        seen = np.concatenate([b.idx for b in corpus.buckets])
-        assert sorted(seen.tolist()) == list(range(len(sequences)))
-        for bucket in corpus.buckets:
-            assert bucket.idx.size <= 4
-            # length-sorted buckets
-            assert np.all(np.diff(bucket.lengths) >= 0)
+        corpus = CompiledCorpus(sequences)
+        plan = corpus.packed
+        assert sorted(plan.order.tolist()) == list(range(len(sequences)))
+        # longest first, ties in corpus order
+        ranked = corpus.lengths[plan.order]
+        assert np.all(np.diff(ranked) <= 0)
+        for a, b in zip(plan.order[:-1], plan.order[1:]):
+            if corpus.lengths[a] == corpus.lengths[b]:
+                assert a < b
+        # step t holds every sequence longer than t, as a shrinking prefix
+        assert plan.batch_sizes.size == ranked[0]
+        for t, n in enumerate(plan.batch_sizes):
+            assert n == np.sum(ranked > t)
+        np.testing.assert_array_equal(
+            plan.step_offsets, np.concatenate([[0], np.cumsum(plan.batch_sizes)])
+        )
+        # every token is one packed row, exactly once
+        np.testing.assert_array_equal(np.sort(plan.rows), np.arange(corpus.n_tokens))
+        np.testing.assert_array_equal(plan.inverse[plan.rows], np.arange(plan.n_rows))
 
     def test_positions_index_the_right_tokens(self):
         rng = np.random.default_rng(1)
         sequences = [rng.integers(0, 9, size=n) for n in (3, 7, 1, 7, 2)]
-        corpus = CompiledCorpus(sequences, bucket_size=3)
-        for bucket in corpus.buckets:
-            for row, j in enumerate(bucket.idx):
-                length = int(bucket.lengths[row])
-                gathered = corpus.concat[bucket.positions[row, :length]]
-                np.testing.assert_array_equal(gathered, sequences[j])
-                # padding points at the sentinel slot
-                assert np.all(bucket.positions[row, length:] == corpus.n_tokens)
+        corpus = CompiledCorpus(sequences)
+        plan = corpus.packed
+        for t, n in enumerate(plan.batch_sizes):
+            lo = plan.step_offsets[t]
+            for rank in range(n):
+                row = lo + rank
+                j = plan.order[rank]
+                assert plan.ranks[row] == rank
+                assert plan.rows[row] == corpus.offsets[j] + t
+                assert corpus.concat[plan.rows[row]] == sequences[j][t]
 
     def test_split_and_tables_round_trip(self):
         _, _, emissions, sequences = random_problem(2)
-        corpus = CompiledCorpus(sequences, bucket_size=3)
+        corpus = CompiledCorpus(sequences)
         values = np.arange(corpus.n_tokens * 2, dtype=float).reshape(corpus.n_tokens, 2)
         parts = corpus.split(values)
         assert len(parts) == len(sequences)
         np.testing.assert_array_equal(np.concatenate(parts), values)
 
-        scores_ext = corpus.score(emissions)
-        assert scores_ext.shape == (corpus.n_tokens + 1, emissions.n_states)
-        np.testing.assert_array_equal(scores_ext[-1], 0.0)
-        for table, seq in zip(corpus.tables(scores_ext), sequences):
+        scores = corpus.score(emissions)
+        assert scores.shape == (corpus.n_tokens, emissions.n_states)
+        for table, seq in zip(corpus.split(scores), sequences):
             np.testing.assert_allclose(
                 table, emissions.log_likelihoods(seq), atol=0, rtol=0
             )
 
     def test_gather_matches_manual_padding(self):
+        # The packed rows are the time-major padded tensor with its padding
+        # cells removed: gathering the score table through ``rows`` must
+        # equal padding the length-sorted sequences by hand and keeping the
+        # cells of active sequences, step by step.
         _, _, emissions, sequences = random_problem(3)
-        corpus = CompiledCorpus(sequences, bucket_size=3)
-        scores_ext = corpus.score(emissions)
-        for bucket in corpus.buckets:
-            log_b = corpus.gather(scores_ext, bucket)
-            assert log_b.shape == (
-                bucket.idx.size,
-                bucket.max_len,
-                emissions.n_states,
-            )
-            for row, j in enumerate(bucket.idx):
-                length = int(bucket.lengths[row])
-                np.testing.assert_array_equal(
-                    log_b[row, :length], emissions.log_likelihoods(sequences[j])
-                )
-                np.testing.assert_array_equal(log_b[row, length:], 0.0)
+        corpus = CompiledCorpus(sequences)
+        plan = corpus.packed
+        scores = corpus.score(emissions)
+        ranked = [sequences[j] for j in plan.order]
+        max_len = max(len(s) for s in ranked)
+        padded = np.zeros((max_len, len(ranked), emissions.n_states))
+        active = np.zeros((max_len, len(ranked)), dtype=bool)
+        for rank, seq in enumerate(ranked):
+            padded[: len(seq), rank] = emissions.log_likelihoods(seq)
+            active[: len(seq), rank] = True
+        np.testing.assert_array_equal(scores[plan.rows], padded[active])
 
     def test_validation_errors(self):
         with pytest.raises(ValidationError):
             CompiledCorpus([])
         with pytest.raises(ValidationError):
-            CompiledCorpus([np.array([1, 2])], bucket_size=0)
+            CompiledCorpus([np.array([1, 2])], long_threshold=8, decode_window=64)
         with pytest.raises(ValidationError):
             CompiledCorpus([np.array([1, 2]), np.array([], dtype=int)])
         with pytest.raises(DimensionMismatchError):
             CompiledCorpus([np.zeros(3), np.zeros((3, 2))])
-        corpus = CompiledCorpus([np.array([0, 1])])
-        with pytest.raises(DimensionMismatchError):
-            corpus.extend_scores(np.zeros((5, 2)))
 
     @pytest.mark.parametrize("backend", ["scaled", "log"])
-    def test_unextended_score_table_rejected(self, backend):
-        # Passing a raw (n_tokens, K) table instead of the extended
-        # (n_tokens + 1, K) one would silently truncate the last sequence;
-        # every backend must reject it.
+    def test_misshaped_score_table_rejected(self, backend):
+        # A table with a row too many or too few would silently shift
+        # every sequence boundary; every backend must reject it.
         startprob, transmat, emissions, sequences = random_problem(12)
-        engine = InferenceEngine(backend=backend, bucket_size=3)
+        engine = InferenceEngine(backend=backend)
         corpus = engine.compile(sequences)
-        bare = emissions.log_likelihoods(corpus.concat)
-        for method in ("posteriors_corpus", "viterbi_corpus", "log_likelihood_corpus"):
-            with pytest.raises(DimensionMismatchError):
-                getattr(engine, method)(startprob, transmat, corpus, bare)
+        scores = emissions.log_likelihoods(corpus.concat)
+        padded = np.vstack([scores, np.zeros((1, emissions.n_states))])
+        for table in (padded, scores[:-1]):
+            for method in ("posteriors_corpus", "viterbi_corpus", "log_likelihood_corpus"):
+                with pytest.raises(DimensionMismatchError):
+                    getattr(engine, method)(startprob, transmat, corpus, table)
 
     def test_compile_corpus_follows_process_config(self):
         sequences = [np.array([0, 1]), np.array([1])]
-        with inference_backend("scaled", bucket_size=17):
-            assert InferenceEngine().compile(sequences).bucket_size == 17
-        assert InferenceEngine(bucket_size=5).compile(sequences).bucket_size == 5
         previous = set_inference_config(
             InferenceConfig(decode_window=64, decode_overlap=8, long_threshold=128)
         )
@@ -145,11 +153,9 @@ class TestCompiledCorpusStructure:
             set_inference_config(previous)
         assert corpus.long_threshold == 128
         assert (corpus.decode_window, corpus.decode_overlap) == (64, 8)
-
-    def test_engine_compile_uses_backend_bucket_size(self):
-        engine = InferenceEngine(backend="scaled", bucket_size=9)
-        corpus = engine.compile([np.array([0, 1]), np.array([1])])
-        assert corpus.bucket_size == 9
+        assert InferenceEngine().compile(sequences).long_threshold == (
+            InferenceConfig().long_threshold
+        )
 
 
 class TestCorpusEquivalence:
@@ -157,13 +163,13 @@ class TestCorpusEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_corpus_posteriors_match_reference(self, seed):
         startprob, transmat, emissions, sequences = random_problem(seed)
-        scaled = InferenceEngine(backend="scaled", bucket_size=3)
+        scaled = InferenceEngine(backend="scaled")
         reference = InferenceEngine(backend="log")
         corpus = scaled.compile(sequences)
-        scores_ext = corpus.score(emissions)
+        scores = corpus.score(emissions)
 
-        got = scaled.posteriors_corpus(startprob, transmat, corpus, scores_ext)
-        want = reference.posteriors_corpus(startprob, transmat, corpus, scores_ext)
+        got = scaled.posteriors_corpus(startprob, transmat, corpus, scores)
+        want = reference.posteriors_corpus(startprob, transmat, corpus, scores)
         np.testing.assert_allclose(got.gamma_concat, want.gamma_concat, atol=ATOL)
         np.testing.assert_allclose(got.xi_sum, want.xi_sum, atol=ATOL)
         np.testing.assert_allclose(got.start_counts, want.start_counts, atol=ATOL)
@@ -185,12 +191,12 @@ class TestCorpusEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_corpus_viterbi_bit_identical_to_reference(self, seed):
         startprob, transmat, emissions, sequences = random_problem(seed)
-        scaled = InferenceEngine(backend="scaled", bucket_size=3)
+        scaled = InferenceEngine(backend="scaled")
         reference = InferenceEngine(backend="log")
         corpus = scaled.compile(sequences)
-        scores_ext = corpus.score(emissions)
+        scores = corpus.score(emissions)
 
-        got = scaled.viterbi_corpus(startprob, transmat, corpus, scores_ext)
+        got = scaled.viterbi_corpus(startprob, transmat, corpus, scores)
         want = reference.viterbi_batch(
             startprob, transmat, emissions.log_likelihoods_batch(sequences)
         )
@@ -202,33 +208,32 @@ class TestCorpusEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_corpus_log_likelihood_matches_reference(self, seed):
         startprob, transmat, emissions, sequences = random_problem(seed)
-        scaled = InferenceEngine(backend="scaled", bucket_size=3)
+        scaled = InferenceEngine(backend="scaled")
         reference = InferenceEngine(backend="log")
         corpus = scaled.compile(sequences)
-        scores_ext = corpus.score(emissions)
-        got = scaled.log_likelihood_corpus(startprob, transmat, corpus, scores_ext)
-        want = reference.log_likelihood_corpus(startprob, transmat, corpus, scores_ext)
+        scores = corpus.score(emissions)
+        got = scaled.log_likelihood_corpus(startprob, transmat, corpus, scores)
+        want = reference.log_likelihood_corpus(startprob, transmat, corpus, scores)
         np.testing.assert_allclose(got, want, atol=ATOL, rtol=1e-10)
 
     def test_corpus_underflow_falls_back_exactly(self):
         # One sequence's forward mass vanishes mid-way (>745-nat spread at a
         # single timestep); the corpus kernels must recompute exactly that
         # sequence with the log-domain reference — bit-identical gamma and
-        # likelihood — while its bucket-mates stay on the fast path.
+        # likelihood — while the other sequences stay on the fast path.
         startprob = np.array([1.0, 0.0])
         transmat = np.eye(2)
         lengths = (6, 4, 5)
         sequences = [np.zeros(n, dtype=np.int64) for n in lengths]
-        scaled = InferenceEngine(backend="scaled", bucket_size=8)
+        scaled = InferenceEngine(backend="scaled")
         reference = InferenceEngine(backend="log")
         corpus = scaled.compile(sequences)
         rng = np.random.default_rng(0)
         scores = -rng.uniform(0.1, 2.0, size=(corpus.n_tokens, 2))
         scores[2] = [-800.0, 0.0]  # timestep 2 of sequence 0
-        scores_ext = corpus.extend_scores(scores)
 
-        got = scaled.posteriors_corpus(startprob, transmat, corpus, scores_ext)
-        want = reference.posteriors_corpus(startprob, transmat, corpus, scores_ext)
+        got = scaled.posteriors_corpus(startprob, transmat, corpus, scores)
+        want = reference.posteriors_corpus(startprob, transmat, corpus, scores)
         assert np.isfinite(want.log_likelihoods[0])
         assert got.log_likelihoods[0] == want.log_likelihoods[0]
         np.testing.assert_allclose(
@@ -242,9 +247,9 @@ class TestCorpusEquivalence:
         np.testing.assert_allclose(got.start_counts, want.start_counts, atol=ATOL)
         np.testing.assert_allclose(got.xi_sum, want.xi_sum, atol=ATOL)
 
-        got_ll = scaled.log_likelihood_corpus(startprob, transmat, corpus, scores_ext)
+        got_ll = scaled.log_likelihood_corpus(startprob, transmat, corpus, scores)
         want_ll = reference.log_likelihood_corpus(
-            startprob, transmat, corpus, scores_ext
+            startprob, transmat, corpus, scores
         )
         assert got_ll[0] == want_ll[0]
         np.testing.assert_allclose(got_ll, want_ll, atol=ATOL)
@@ -254,7 +259,7 @@ class TestVectorizedMStep:
     def test_categorical_m_step_compiled_matches_loop(self, list_m_step):
         rng = np.random.default_rng(4)
         sequences = [rng.integers(0, 7, size=n) for n in (3, 9, 1, 14)]
-        corpus = CompiledCorpus(sequences, bucket_size=3)
+        corpus = CompiledCorpus(sequences)
         gammas = [rng.dirichlet(np.ones(5), size=len(s)) for s in sequences]
         loop = CategoricalEmission.random_init(5, 7, seed=0)
         fast = loop.copy()
@@ -283,7 +288,7 @@ class TestVectorizedMStep:
         sequences = [
             rng.integers(0, 2, size=(n, 6)).astype(float) for n in (2, 5, 8, 1)
         ]
-        corpus = CompiledCorpus(sequences, bucket_size=2)
+        corpus = CompiledCorpus(sequences)
         gammas = [rng.dirichlet(np.ones(3), size=len(s)) for s in sequences]
         loop = BernoulliEmission.random_init(3, 6, seed=1)
         fast = loop.copy()
@@ -294,7 +299,7 @@ class TestVectorizedMStep:
     def test_gaussian_m_step_compiled_matches_loop(self, list_m_step):
         rng = np.random.default_rng(7)
         sequences = [rng.normal(size=n) for n in (4, 11, 2)]
-        corpus = CompiledCorpus(sequences, bucket_size=2)
+        corpus = CompiledCorpus(sequences)
         gammas = [rng.dirichlet(np.ones(3), size=len(s)) for s in sequences]
         loop = GaussianEmission(np.array([0.0, 1.0, 2.0]), np.ones(3))
         fast = loop.copy()
@@ -307,7 +312,7 @@ class TestVectorizedMStep:
 class TestTrainerOnCompiledCorpus:
     def test_fit_accepts_precompiled_corpus(self):
         startprob, transmat, emissions, sequences = random_problem(8, lengths=(4, 6, 9, 3))
-        engine = InferenceEngine(backend="scaled", bucket_size=2)
+        engine = InferenceEngine(backend="scaled")
         from_raw = HMM(startprob.copy(), transmat.copy(), emissions.copy())
         from_corpus = HMM(startprob.copy(), transmat.copy(), emissions.copy())
         corpus = engine.compile(sequences)
@@ -326,7 +331,7 @@ class TestTrainerOnCompiledCorpus:
         fast_model = HMM(startprob.copy(), transmat.copy(), emissions.copy())
         ref_model = HMM(startprob.copy(), transmat.copy(), emissions.copy())
         fast = BaumWelchTrainer(
-            max_iter=6, tol=0.0, engine=InferenceEngine(backend="scaled", bucket_size=2)
+            max_iter=6, tol=0.0, engine=InferenceEngine(backend="scaled")
         ).fit(fast_model, sequences)
         ref = BaumWelchTrainer(
             max_iter=6, tol=0.0, engine=InferenceEngine(backend="log")

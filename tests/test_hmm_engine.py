@@ -28,7 +28,6 @@ from repro.hmm import (
     available_backends,
     build_backend,
 )
-from repro.hmm.corpus import bucket_indices
 from repro.hmm.forward_backward import compute_posteriors
 from repro.hmm.viterbi import viterbi_decode
 
@@ -58,8 +57,8 @@ def random_problem(seed, n_states=4, n_symbols=8, concentration=1.0, lengths=(1,
     return startprob, transmat, log_obs_seqs
 
 
-def assert_backends_agree(startprob, transmat, log_obs_seqs, bucket_size=3):
-    scaled = InferenceEngine(backend=ScaledBatchedBackend(bucket_size=bucket_size))
+def assert_backends_agree(startprob, transmat, log_obs_seqs):
+    scaled = InferenceEngine(backend=ScaledBatchedBackend())
     reference = InferenceEngine(backend=LogDomainBackend())
 
     got = scaled.posteriors_batch(startprob, transmat, log_obs_seqs)
@@ -126,11 +125,32 @@ class TestScaledMatchesLogReference:
         assert np.allclose(stats.xi_sum, 0.0)
         assert np.allclose(stats.gamma.sum(), 1.0)
 
-    @given(st.integers(0, 10_000), st.integers(1, 7))
+    @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
-    def test_bucket_size_does_not_change_results(self, seed, bucket_size):
-        startprob, transmat, log_obs_seqs = random_problem(seed)
-        assert_backends_agree(startprob, transmat, log_obs_seqs, bucket_size=bucket_size)
+    def test_shuffling_sequences_permutes_results(self, seed):
+        # The packed layout ranks sequences by length, ties in input order;
+        # whatever order they arrive in, every result must follow its own
+        # sequence exactly.  A shuffle keeps every step's batch size, and
+        # each row of every step's work depends on that row alone.
+        startprob, transmat, log_obs_seqs = random_problem(
+            seed, lengths=(1, 5, 1, 17, 5, 40, 2, 5)
+        )
+        perm = np.random.default_rng(seed).permutation(len(log_obs_seqs))
+        shuffled = [log_obs_seqs[i] for i in perm]
+        engine = InferenceEngine(backend="scaled")
+        post = engine.posteriors_batch(startprob, transmat, log_obs_seqs)
+        post_shuffled = engine.posteriors_batch(startprob, transmat, shuffled)
+        lls = engine.log_likelihood_batch(startprob, transmat, log_obs_seqs)
+        lls_shuffled = engine.log_likelihood_batch(startprob, transmat, shuffled)
+        vit = engine.viterbi_batch(startprob, transmat, log_obs_seqs)
+        vit_shuffled = engine.viterbi_batch(startprob, transmat, shuffled)
+        for k, i in enumerate(perm):
+            np.testing.assert_array_equal(post_shuffled[k].gamma, post[i].gamma)
+            np.testing.assert_array_equal(post_shuffled[k].xi_sum, post[i].xi_sum)
+            assert post_shuffled[k].log_likelihood == post[i].log_likelihood
+            assert lls_shuffled[k] == lls[i]
+            np.testing.assert_array_equal(vit_shuffled[k][0], vit[i][0])
+            assert vit_shuffled[k][1] == vit[i][1]
 
     def test_long_skewed_sequences_stay_stable(self):
         rng = np.random.default_rng(3)
@@ -153,7 +173,7 @@ class TestScaledMatchesLogReference:
         assert engine.log_likelihood(startprob, transmat, log_obs) == -np.inf
         _, log_joint = engine.viterbi(startprob, transmat, log_obs)
         assert log_joint == -np.inf
-        # A possible sequence in the same bucket is unaffected.
+        # A possible sequence in the same batch is unaffected.
         fine = np.array([[-0.5, -1.0], [-0.2, -0.4]])
         lls = engine.log_likelihood_batch(startprob, transmat, [log_obs, fine])
         assert lls[0] == -np.inf and np.isfinite(lls[1])
@@ -268,10 +288,10 @@ class TestEngineConfiguration:
         assert model.inference_engine.backend_name == "scaled"
 
     def test_set_inference_config_round_trips(self):
-        previous = set_inference_config(InferenceConfig(backend="log", bucket_size=8))
+        previous = set_inference_config(InferenceConfig(backend="log", long_threshold=8192))
         try:
             assert get_inference_config().backend == "log"
-            assert get_inference_config().bucket_size == 8
+            assert get_inference_config().long_threshold == 8192
         finally:
             set_inference_config(previous)
 
@@ -279,7 +299,7 @@ class TestEngineConfiguration:
         with pytest.raises(ValidationError):
             InferenceConfig(backend="gpu")
         with pytest.raises(ValidationError):
-            InferenceConfig(bucket_size=0)
+            InferenceConfig(decode_window=4096, long_threshold=1024)
         with pytest.raises(ValueError):
             build_backend("nope")
 
@@ -311,13 +331,6 @@ class TestEngineConfiguration:
 
 
 class TestBucketing:
-    def test_bucket_indices_cover_everything_once(self):
-        lengths = [5, 1, 9, 3, 3, 7, 2]
-        buckets = bucket_indices(lengths, bucket_size=3)
-        flat = np.sort(np.concatenate(buckets))
-        np.testing.assert_array_equal(flat, np.arange(len(lengths)))
-        assert all(len(b) <= 3 for b in buckets)
-
     def test_empty_batch_is_fine(self):
         engine = InferenceEngine(backend="scaled")
         assert engine.posteriors_batch(np.array([1.0]), np.array([[1.0]]), []) == []

@@ -60,9 +60,9 @@ def long_routing_config():
 
 def full_viterbi(backend, pi, transmat, table):
     """Unchunked Viterbi of one whole table: a directly built corpus has no
-    long threshold, so the table decodes as one bucket row."""
+    long threshold, so the table decodes as one packed sequence."""
     corpus = CompiledCorpus([table])
-    return backend.viterbi_corpus(pi, transmat, corpus, corpus.extend_scores(table))[0]
+    return backend.viterbi_corpus(pi, transmat, corpus, table)[0]
 
 
 def random_model(rng, n_states, self_weight=0.0):
@@ -124,7 +124,7 @@ class TestAgreementCut:
 class TestChunkedViterbi:
     def test_property_random_models(self):
         rng = np.random.default_rng(7)
-        backend = ScaledBatchedBackend(bucket_size=16)
+        backend = ScaledBatchedBackend()
         n_exact = 0
         trials = []
         for trial in range(10):
@@ -177,7 +177,7 @@ class TestChunkedViterbi:
         ref_path, ref_lj = viterbi_decode_from_log(
             safe_log(pi), safe_log(transmat), table
         )
-        for backend in (LogDomainBackend(), ScaledBatchedBackend(bucket_size=4)):
+        for backend in (LogDomainBackend(), ScaledBatchedBackend()):
             res = backend.viterbi_long(
                 pi, transmat, table, window=300, overlap=100, group_size=4
             )
@@ -488,8 +488,9 @@ class TestEngineRouting:
         assert [lw.seq_index for lw in corpus.long_windows] == [1, 3]
         assert corpus.long_windows[0].length == 1800
         assert corpus.long_windows[0].n_windows > 1
-        # short sequences still bucket normally
-        assert sum(len(b.idx) for b in corpus.buckets) == 2
+        # short sequences still pack normally
+        assert sorted(corpus.packed.order.tolist()) == [0, 2]
+        assert corpus.packed.n_rows == 50 + 70
 
         base = get_inference_config()
         set_inference_config(InferenceConfig())

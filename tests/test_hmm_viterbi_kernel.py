@@ -23,11 +23,8 @@ from repro.hmm import (
 from repro.hmm.viterbi import viterbi_decode
 
 
-def _engines(bucket_size=3):
-    return (
-        InferenceEngine(backend="scaled", bucket_size=bucket_size),
-        InferenceEngine(backend="log"),
-    )
+def _engines():
+    return InferenceEngine(backend="scaled"), InferenceEngine(backend="log")
 
 
 class TestViterbiTieBreaking:
@@ -131,7 +128,7 @@ class TestUnderflowFallback:
         hard[75] = [-800.0, 0.0]
         fine = np.full((149, 2), [-1.0, -2.0])
         tables = [hard, fine]
-        scaled, reference = _engines(bucket_size=8)
+        scaled, reference = _engines()
 
         got = scaled.posteriors_batch(startprob, transmat, tables)
         want = reference.posteriors_batch(startprob, transmat, tables)
