@@ -18,6 +18,14 @@ must be at least ``BENCH_MIN_PACKED_ESTEP_SPEEDUP`` times faster, match the
 baseline to 1e-8, and hold its tracemalloc peak within 1.25x of the
 baseline's.
 
+A third benchmark gates, at the same shape, what the trainer now runs per
+iteration outside the transition M-step: the E-step handed the emission
+model (probability-domain weights gathered straight from ``B``, no log
+table) and the sparse-product categorical M-step, against the log-table
+E-step and the per-state ``bincount`` M-step kept below as the baseline.
+It must be at least ``BENCH_MIN_PROB_ESTEP_SPEEDUP`` times faster, match
+the baseline to 1e-8, and peak no higher under tracemalloc.
+
 Results merge into ``BENCH_training.json`` at the repository root.
 """
 
@@ -33,6 +41,7 @@ import numpy as np
 from benchmarks.conftest import merge_results, print_header
 from perfbench.inputs import PAPER_SENTENCES, PosSource
 from repro.hmm import BaumWelchTrainer, CategoricalEmission, HMM, InferenceEngine
+from repro.utils.maths import normalize_rows
 
 #: Acceptance floor for full-EM-iteration throughput of the scaled backend
 #: over the per-sequence log-domain reference backend.
@@ -46,6 +55,10 @@ MIN_PACKED_ESTEP_SPEEDUP = float(os.environ.get("BENCH_MIN_PACKED_ESTEP_SPEEDUP"
 #: Ceiling on the packed E-step's tracemalloc peak, relative to the bucket
 #: baseline's: the packed layout must not buy its speed with memory.
 MAX_PACKED_ESTEP_MEMORY_RATIO = 1.25
+
+#: Acceptance floor for the E-step and emission M-step through the emission
+#: model over the log-table E-step with the per-state bincount M-step.
+MIN_PROB_ESTEP_SPEEDUP = float(os.environ.get("BENCH_MIN_PROB_ESTEP_SPEEDUP", "1.4"))
 
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_training.json"
 
@@ -326,3 +339,98 @@ def test_packed_estep_speedup(benchmark):
 
     assert speedup >= MIN_PACKED_ESTEP_SPEEDUP
     assert memory_ratio <= MAX_PACKED_ESTEP_MEMORY_RATIO
+
+
+# ------------------------------------------------------------------ #
+# E-step and M-step through the emission model vs the log-table path
+# ------------------------------------------------------------------ #
+def _bincount_m_step(emissions, corpus, gamma) -> None:
+    """The categorical M-step before the sparse product: a bincount per state."""
+    tokens = np.asarray(corpus.concat, dtype=np.int64)
+    counts = np.empty((emissions.n_states, emissions.n_symbols))
+    for state in range(emissions.n_states):
+        counts[state] = np.bincount(
+            tokens, weights=gamma[:, state], minlength=emissions.n_symbols
+        )
+    emissions.emission_probs = normalize_rows(counts)
+
+
+def test_probability_estep_speedup(benchmark):
+    source = PosSource.from_seed(3)
+    data = source.sample(PAPER_SENTENCES, stream=1)
+    startprob, transmat = source.startprob, source.transmat
+    emissions = CategoricalEmission(source.emission_probs)
+    engine = InferenceEngine(backend="scaled")
+    corpus = engine.compile(data.words)
+    # The M-steps write scratch models, so every timed E-step sees one B.
+    updated = {
+        "model": CategoricalEmission(source.emission_probs),
+        "table": CategoricalEmission(source.emission_probs),
+    }
+
+    def through_model():
+        stats = engine.posteriors_corpus(startprob, transmat, corpus, emissions)
+        updated["model"].m_step_compiled(corpus, stats.gamma_concat)
+        return stats
+
+    def through_table():
+        stats = engine.posteriors_corpus(
+            startprob, transmat, corpus, corpus.score(emissions)
+        )
+        _bincount_m_step(updated["table"], corpus, stats.gamma_concat)
+        return stats
+
+    # Correctness gate: both paths compute the same E-step and M-step.
+    got, want = through_model(), through_table()
+    np.testing.assert_allclose(got.gamma_concat, want.gamma_concat, atol=1e-8, rtol=0)
+    np.testing.assert_allclose(got.xi_sum, want.xi_sum, atol=1e-8, rtol=1e-12)
+    np.testing.assert_allclose(
+        got.log_likelihoods, want.log_likelihoods, atol=1e-8, rtol=1e-12
+    )
+    np.testing.assert_allclose(
+        updated["model"].emission_probs, updated["table"].emission_probs, atol=1e-8, rtol=0
+    )
+    del got, want
+
+    # Alternate the two so a slow spell of the host hits both alike; each
+    # round takes ~0.1 s, so 15 rounds give both sides a quiet spell.
+    model_s, table_s = [], []
+    for _ in range(15):
+        for fn, times in ((through_model, model_s), (through_table, table_s)):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+    model_seconds, table_seconds = min(model_s), min(table_s)
+    speedup = table_seconds / model_seconds
+
+    model_peak = _peak_mb(through_model)
+    table_peak = _peak_mb(through_table)
+
+    results = {
+        "probability_estep": {
+            "workload": {
+                "n_sentences": corpus.n_sequences,
+                "n_tokens": corpus.n_tokens,
+                "n_states": startprob.shape[0],
+                "vocabulary_size": emissions.n_symbols,
+                "source": "perfbench.inputs.PosSource, seed 3, stream 1",
+            },
+            "estep_mstep_seconds": {"model": model_seconds, "table": table_seconds},
+            "estep_mstep_speedup": speedup,
+            "model_tokens_per_second": corpus.n_tokens / model_seconds,
+            "tracemalloc_peak_mb": {"model": model_peak, "table": table_peak},
+        }
+    }
+    merge_results(_RESULT_PATH, results)
+
+    print_header("Training - E-step + M-step through the model vs the log table")
+    print(f"E-step + emission M-step: model {model_seconds * 1e3:7.1f} ms | "
+          f"table {table_seconds * 1e3:7.1f} ms | {speedup:4.2f}x")
+    print(f"tracemalloc peak: model {model_peak:5.1f} MB | table {table_peak:5.1f} MB")
+    print(f"results merged into {_RESULT_PATH.name}")
+
+    benchmark.extra_info.update(probability_estep_speedup=speedup)
+    benchmark.pedantic(through_model, rounds=1, iterations=1)
+
+    assert speedup >= MIN_PROB_ESTEP_SPEEDUP
+    assert model_peak <= table_peak

@@ -3,9 +3,13 @@
 The engine (:mod:`repro.hmm.engine`) delegates all forward-backward, Viterbi
 and likelihood computations to an :class:`InferenceBackend`.  Every backend
 method runs over a :class:`~repro.hmm.corpus.CompiledCorpus` and its
-``(n_tokens, K)`` emission score table (``forward_backward_corpus`` /
-``viterbi_corpus`` / ``log_likelihood_corpus``), plus ``viterbi_long`` for
-one long sequence.  Two backends are provided:
+emissions (``forward_backward_corpus`` / ``viterbi_corpus`` /
+``log_likelihood_corpus``), plus ``viterbi_long`` for one long sequence.
+The emissions are the ``(n_tokens, K)`` log-likelihood table or the
+:class:`~repro.hmm.emissions.base.EmissionModel` itself; the scaled
+forward-backward kernel asks a model for probability-domain weights in
+packed order, and every other kernel scores it into the table.  Two
+backends are provided:
 
 * :class:`ScaledBatchedBackend` — the default.  Runs the forward-backward
   recursions in the probability domain with Rabiner's per-timestep scaling,
@@ -27,13 +31,16 @@ one long sequence.  Two backends are provided:
 
 Scaling scheme
 --------------
-For each timestep the per-state observation log-likelihoods are shifted by
-their row maximum ``m_t = max_i log b_i(y_t)`` before exponentiation, so the
-probability-domain observation weights lie in ``[0, 1]``.  The forward
-messages are renormalized to sum to one after every step; the normalizers
-``c_t`` (together with the shifts ``m_t``) recover the exact log marginal
-likelihood as ``sum_t (log c_t + m_t)``.  The backward messages reuse the
-same ``c_t``, which makes ``gamma_t = alpha_hat_t * beta_hat_t`` and
+The observation weights of timestep ``t`` are ``b_i(y_t) / exp(m_t)``: from
+a log table, the row shifted by its maximum ``m_t = max_i log b_i(y_t)``
+before exponentiation, so the weights lie in ``[0, 1]``; from a model,
+whatever :meth:`~repro.hmm.emissions.base.EmissionModel.scaled_likelihoods`
+returns (categorical emissions: the column of ``B``, ``m_t = 0``).  The
+forward messages are renormalized to sum to one after every step; the
+normalizers ``c_t`` (together with the shifts ``m_t``) recover the exact
+log marginal likelihood as ``sum_t (log c_t + m_t)``.  The backward
+messages reuse the same ``c_t``, which makes
+``gamma_t = alpha_hat_t * beta_hat_t`` and
 
     xi_t[i, j] = alpha_hat_{t-1}[i] * A[i, j] * obs_t[j] * beta_hat_t[j] / c_t
 
@@ -55,6 +62,7 @@ import numpy as np
 
 from repro.exceptions import DimensionMismatchError, ValidationError
 from repro.hmm.corpus import CompiledCorpus, CorpusPosteriors, PackedPlan
+from repro.hmm.emissions.base import EmissionModel, scaled_rows
 from repro.hmm.forward_backward import compute_posteriors_from_log, log_forward
 from repro.hmm.longseq import (
     ArraySource,
@@ -83,7 +91,7 @@ __all__ = [
 #: entire forward message underflows (mirrors ``LOG_EPS`` of the reference).
 _TINY = 1e-300
 
-#: Windows of one long sequence decoded together as one padded bucket by
+#: Windows of one long sequence decoded together as one bucket by
 #: :meth:`ScaledBatchedBackend.viterbi_long` unless a caller sets
 #: ``group_size``; the bucket is ``(LONG_GROUP_SIZE, window, K)``.
 LONG_GROUP_SIZE = 64
@@ -115,10 +123,11 @@ class InferenceBackend(abc.ABC):
     """Strategy object performing HMM inference over a compiled corpus.
 
     Every corpus method takes probability-domain parameters, a
-    :class:`~repro.hmm.corpus.CompiledCorpus` and its ``(n_tokens, K)``
-    emission score table in concatenated token order
-    (:meth:`CompiledCorpus.score`), and returns per-sequence results in
-    corpus order.  The caller (the engine) scores the corpus once and
+    :class:`~repro.hmm.corpus.CompiledCorpus` and its emissions — the
+    ``(n_tokens, K)`` emission log-likelihood table in concatenated token
+    order (:meth:`CompiledCorpus.score`) or the
+    :class:`~repro.hmm.emissions.base.EmissionModel` that scores it — and
+    returns per-sequence results in corpus order.  The caller (the engine)
     caches derived parameters, handing ``log(pi)`` / ``log(A)`` over through
     the ``log_startprob`` / ``log_transmat`` keywords.
     """
@@ -130,19 +139,33 @@ class InferenceBackend(abc.ABC):
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float64 parameters and score table, checked against each other.
+        emissions: np.ndarray | EmissionModel,
+        keep_model: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | EmissionModel]:
+        """Float64 parameters and emissions, checked against each other.
 
-        A table of any other length would silently shift every split
-        boundary and truncate or misalign sequences; insist on the
-        ``(n_tokens, K)`` shape that :meth:`CompiledCorpus.score` produces.
+        An emission model must cover the transition matrix's states; it is
+        returned as is with ``keep_model``, and otherwise scored into its
+        table over the concatenated corpus.  A table of any other length
+        would silently shift every split boundary and truncate or misalign
+        sequences; insist on the ``(n_tokens, K)`` shape that
+        :meth:`CompiledCorpus.score` produces.
         """
         startprob = np.asarray(startprob, dtype=np.float64)
         transmat = np.asarray(transmat, dtype=np.float64)
         _check_params(startprob, transmat)
-        scores = np.asarray(scores, dtype=np.float64)
-        expected = (corpus.n_tokens, startprob.shape[0])
+        n_states = startprob.shape[0]
+        if isinstance(emissions, EmissionModel):
+            if emissions.n_states != n_states:
+                raise DimensionMismatchError(
+                    f"emission model covers {emissions.n_states} states, "
+                    f"the transition matrix {n_states}"
+                )
+            if keep_model:
+                return startprob, transmat, emissions
+            emissions = corpus.score(emissions)
+        scores = np.asarray(emissions, dtype=np.float64)
+        expected = (corpus.n_tokens, n_states)
         if scores.shape != expected:
             raise DimensionMismatchError(
                 f"corpus score table must have shape {expected} "
@@ -156,7 +179,7 @@ class InferenceBackend(abc.ABC):
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores: np.ndarray,
+        emissions: np.ndarray | EmissionModel,
         log_startprob: np.ndarray | None = None,
         log_transmat: np.ndarray | None = None,
         sequence_xi: bool = False,
@@ -174,7 +197,7 @@ class InferenceBackend(abc.ABC):
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores: np.ndarray,
+        emissions: np.ndarray | EmissionModel,
         log_startprob: np.ndarray | None = None,
         log_transmat: np.ndarray | None = None,
     ) -> list[tuple[np.ndarray, float]]:
@@ -186,7 +209,7 @@ class InferenceBackend(abc.ABC):
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores: np.ndarray,
+        emissions: np.ndarray | EmissionModel,
         log_startprob: np.ndarray | None = None,
         log_transmat: np.ndarray | None = None,
     ) -> np.ndarray:
@@ -206,6 +229,15 @@ class InferenceBackend(abc.ABC):
         log_transmat: np.ndarray | None = None,
     ) -> LongDecodeResult:
         """Chunked Viterbi over one long sequence (see :func:`chunked_viterbi`)."""
+
+
+def _log_rows(
+    emissions: np.ndarray | EmissionModel, corpus: CompiledCorpus, lo: int, hi: int
+) -> np.ndarray:
+    """Emission log-likelihood rows of the corpus tokens ``lo .. hi - 1``."""
+    if isinstance(emissions, EmissionModel):
+        return emissions.log_likelihoods(corpus.concat[lo:hi])
+    return emissions[lo:hi]
 
 
 def _check_params(startprob: np.ndarray, transmat: np.ndarray) -> None:
@@ -245,30 +277,14 @@ class ScaledBatchedBackend(InferenceBackend):
     # Packed kernels
     # -------------------------------------------------------------- #
     @staticmethod
-    def _packed_obs(  # repro: hot-path
-        scores: np.ndarray, plan: PackedPlan, out: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Max-shifted observation weights ``exp(log_b - m)`` in packed order.
-
-        The packed rows of ``scores`` are gathered into ``out`` and
-        exponentiated in place; returns ``(out, shift)`` with the per-row
-        shifts ``m``.
-        """
-        # mode="clip" keeps take from buffering its output (every row is
-        # in range), so the gather allocates nothing beyond ``out``.
-        obs = np.take(scores, plan.rows, axis=0, out=out, mode="clip")
-        shift = np.max(obs, axis=1)
-        shift[~np.isfinite(shift)] = 0.0
-        obs -= shift[:, None]
-        return np.exp(obs, out=obs), shift
-
-    @staticmethod
     def _packed_log_likelihoods(  # repro: hot-path
-        plan: PackedPlan, scale: np.ndarray, shift: np.ndarray
+        plan: PackedPlan, scale: np.ndarray, shift: np.ndarray | None
     ) -> np.ndarray:
-        """Per-rank ``sum_t (log c_t + m_t)``; ``shift`` receives the terms."""
-        np.add(shift, np.log(np.maximum(scale, _TINY)), out=shift)
-        return np.bincount(plan.ranks, shift, minlength=plan.order.size)
+        """Per-rank ``sum_t (log c_t + m_t)`` (``m_t = 0`` without shifts)."""
+        terms = np.log(np.maximum(scale, _TINY))
+        if shift is not None:
+            terms += shift
+        return np.bincount(plan.ranks, terms, minlength=plan.order.size)
 
     @staticmethod
     def _forward_packed(  # repro: hot-path
@@ -361,8 +377,9 @@ class ScaledBatchedBackend(InferenceBackend):
         self,
         startprob: np.ndarray,
         transmat: np.ndarray,
+        corpus: CompiledCorpus,
         plan: PackedPlan,
-        scores: np.ndarray,
+        emissions: np.ndarray | EmissionModel,
         buffer: np.ndarray,
         sequence_xi: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
@@ -376,11 +393,19 @@ class ScaledBatchedBackend(InferenceBackend):
         posterior row that is not finite or sums to zero (a backward
         message overflowed or vanished).  Unusable ranks can poison the
         transition statistic; the caller re-runs without them.  The
-        observation weights are built in ``buffer`` (``(R, K)`` or
-        larger), which holds nothing useful afterwards.
+        observation weights — a model's own
+        :meth:`~repro.hmm.emissions.base.EmissionModel.scaled_likelihoods`,
+        or the max-shifted ``exp`` of a table's gathered rows — are built
+        in ``buffer`` (``(R, K)`` or larger), which holds nothing useful
+        afterwards.
         """
         n_states = startprob.shape[0]
-        obs, shift = self._packed_obs(scores, plan, buffer[: plan.n_rows])
+        if isinstance(emissions, EmissionModel):
+            obs, shift = emissions.scaled_likelihoods(
+                corpus.concat, plan.rows, buffer[: plan.n_rows]
+            )
+        else:
+            obs, shift = scaled_rows(emissions, plan.rows, buffer[: plan.n_rows])
         alpha = np.empty_like(obs)
         scale = np.empty(plan.n_rows)
         self._forward_packed(startprob, transmat, plan, obs, alpha, scale)
@@ -388,8 +413,7 @@ class ScaledBatchedBackend(InferenceBackend):
         xi_ranks = (
             np.zeros((plan.order.size, n_states, n_states)) if sequence_xi else None
         )
-        # The shifts are spent: their buffer takes the posterior row sums.
-        norms = shift
+        norms = np.empty(plan.n_rows)
         xi = self._backward_packed(transmat, plan, obs, alpha, scale, norms, xi_ranks)
         usable = (scale >= _TINY) & (norms >= _TINY) & (norms < np.inf)
         failed = np.unique(plan.ranks[~usable]) if not usable.all() else usable[:0]
@@ -399,11 +423,11 @@ class ScaledBatchedBackend(InferenceBackend):
     # Compiled-corpus kernels (zero per-sequence Python on the hot path)
     # -------------------------------------------------------------- #
     def forward_backward_corpus(
-        self, startprob, transmat, corpus, scores,
+        self, startprob, transmat, corpus, emissions,
         log_startprob=None, log_transmat=None, sequence_xi=False,
     ) -> CorpusPosteriors:
-        startprob, transmat, scores = self._check_corpus(
-            startprob, transmat, corpus, scores
+        startprob, transmat, emissions = self._check_corpus(
+            startprob, transmat, corpus, emissions, keep_model=True
         )
         n_states = startprob.shape[0]
         # The packed observation weights are built in gamma's buffer, and
@@ -423,7 +447,7 @@ class ScaledBatchedBackend(InferenceBackend):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while plan.n_rows:
                 packed, xi, xi_ranks, part_lls, failed = self._fb_packed(
-                    startprob, transmat, plan, scores, gamma, sequence_xi
+                    startprob, transmat, corpus, plan, emissions, gamma, sequence_xi
                 )
                 if failed.size:
                     # Rare: drop the failed sequences and run the rest again,
@@ -446,7 +470,9 @@ class ScaledBatchedBackend(InferenceBackend):
                 log_pi, log_A = safe_log(startprob), safe_log(transmat)
                 for j in repair:
                     lo, hi = corpus.offsets[j], corpus.offsets[j + 1]
-                    ref = compute_posteriors_from_log(log_pi, log_A, scores[lo:hi])
+                    ref = compute_posteriors_from_log(
+                        log_pi, log_A, _log_rows(emissions, corpus, lo, hi)
+                    )
                     gamma[lo:hi] = ref.gamma
                     xi_sum += ref.xi_sum
                     start_counts += ref.gamma[0]
@@ -455,12 +481,14 @@ class ScaledBatchedBackend(InferenceBackend):
                         xi_seq[j] = ref.xi_sum
         for lw in corpus.long_windows:
             # Long sequences stay out of the packed plan: the block-wise
-            # segment scan over a view of the corpus score table keeps the
-            # working set at a few blocks per sequence, whatever T is.
+            # segment scan over the sequence's log rows keeps the working
+            # set at a few blocks per sequence, whatever T is.
             r = checkpointed_posteriors(
                 startprob,
                 transmat,
-                ArraySource(scores[lw.offset : lw.offset + lw.length]),
+                ArraySource(
+                    _log_rows(emissions, corpus, lw.offset, lw.offset + lw.length)
+                ),
             )
             gamma[lw.offset : lw.offset + lw.length] = r.gamma
             xi_sum += r.xi_sum
@@ -477,11 +505,11 @@ class ScaledBatchedBackend(InferenceBackend):
         )
 
     def viterbi_corpus(
-        self, startprob, transmat, corpus, scores,
+        self, startprob, transmat, corpus, emissions,
         log_startprob=None, log_transmat=None,
     ) -> list[tuple[np.ndarray, float]]:
         startprob, transmat, scores = self._check_corpus(
-            startprob, transmat, corpus, scores
+            startprob, transmat, corpus, emissions
         )
         log_pi, log_AT = self._viterbi_log_params(
             startprob, transmat, log_startprob, log_transmat
@@ -512,17 +540,17 @@ class ScaledBatchedBackend(InferenceBackend):
         return results
 
     def log_likelihood_corpus(
-        self, startprob, transmat, corpus, scores,
+        self, startprob, transmat, corpus, emissions,
         log_startprob=None, log_transmat=None,
     ) -> np.ndarray:
         startprob, transmat, scores = self._check_corpus(
-            startprob, transmat, corpus, scores
+            startprob, transmat, corpus, emissions
         )
         lls = np.empty(corpus.n_sequences)
         plan = corpus.packed
         if plan.n_rows:
-            obs, shift = self._packed_obs(
-                scores, plan, np.empty((plan.n_rows, startprob.shape[0]))
+            obs, shift = scaled_rows(
+                scores, plan.rows, np.empty((plan.n_rows, startprob.shape[0]))
             )
             scale = np.empty(plan.n_rows)
             # Only the likelihood is wanted: the messages overwrite the weights.
@@ -629,18 +657,14 @@ class ScaledBatchedBackend(InferenceBackend):
         log_startprob: np.ndarray,
         log_transmat_T: np.ndarray,
         log_b: np.ndarray,
-        lengths: np.ndarray,
     ) -> list[tuple[np.ndarray, float]]:
-        """Fused batched Viterbi over one padded bucket.
+        """Fused batched Viterbi over a ``(B, L, K)`` bucket of equal-length windows.
 
         Unlike forward-backward, the Viterbi recursion contains no
         ``logsumexp`` — only max — so it vectorizes in the log domain at
-        full speed.  Running it there removes everything the old
-        probability-domain kernel spent most of its time on: the ``exp`` of
-        the whole observation tensor, the per-timestep peak normalization
-        (max / clamp / divide / log), and the ``_TINY`` underflow fallback
-        (log-space cannot underflow).  As a bonus every elementary float
-        operation now matches :func:`viterbi_decode_from_log` exactly, so
+        full speed, with no ``exp`` of the observations, no per-step
+        normalization and no underflow fallback.  Every elementary float
+        operation matches :func:`viterbi_decode_from_log` exactly, so
         decoded paths and joint log-probabilities are *bit-identical* to
         the log-domain reference, tie-breaking included.
 
@@ -650,73 +674,45 @@ class ScaledBatchedBackend(InferenceBackend):
         (``scores[b, j, i] = delta[b, i] + log A[i, j]``), one argmax over
         the contiguous last axis, and one flat gather of the winning scores
         through the argmax (instead of a second full max reduction), folded
-        into the observation add.  Backpointers live in the smallest
-        integer dtype that can index the state space (uint8/uint16 for the
-        paper's workloads, not int64), and because buckets are sorted by
-        length, rows whose sequence has ended drop off the *front* of every
-        buffer — each timestep only touches the still-active suffix, with
-        no masked ``np.where`` updates at all.
+        into the observation add.  Backpointers are stored time-major in
+        the smallest integer dtype that can index the state space.  Every
+        row of the bucket is one window of the same length (the
+        long-sequence decoder's window groups), so every step updates the
+        whole batch.
+
+        Returns one ``(path, log_joint)`` per bucket row; the paths are
+        rows of one ``(B, L)`` array.
         """
-        if lengths.size > 1 and np.any(lengths[:-1] > lengths[1:]):
-            # Callers (compiled corpora, long-sequence windows) always hand
-            # over length-sorted buckets; re-sort defensively if not.
-            order = np.argsort(lengths, kind="stable")
-            sorted_results = self._viterbi_bucket(
-                log_startprob, log_transmat_T, log_b[order], lengths[order]
-            )
-            results: list[tuple[np.ndarray, float]] = [None] * lengths.size
-            for pos, res in zip(order, sorted_results):  # repro: loop-ok[defensive unsort]
-                results[pos] = res
-            return results
-
-        batch, max_len, n_states = log_b.shape
-        rows = np.arange(batch)
-
+        batch, length, n_states = log_b.shape
         delta = log_startprob[None, :] + log_b[:, 0]
-        backpointers = np.zeros(
-            (batch, max_len, n_states), dtype=viterbi_backpointer_dtype(n_states)
+        backpointers = np.empty(
+            (length, batch * n_states), dtype=viterbi_backpointer_dtype(n_states)
         )
         self.last_backpointer_dtype = backpointers.dtype
         scores = np.empty((batch, n_states, n_states))
+        flat_scores = scores.reshape(-1)
         arg = np.empty((batch, n_states), dtype=np.intp)
+        flat_arg = arg.reshape(-1)
         best = np.empty(batch * n_states)
         gather_idx = np.empty(batch * n_states, dtype=np.intp)
         flat_offsets = np.arange(batch * n_states, dtype=np.intp) * n_states
-        for t in range(1, max_len):  # repro: loop-ok[inherent time recursion]
-            # First row still alive at time t (lengths are sorted ascending).
-            first = int(np.searchsorted(lengths, t, side="right"))
-            n_active = batch - first
-            if n_active == 0:
-                break
-            flat = n_active * n_states
-            sub_scores = scores[:n_active]
-            sub_arg = arg[:n_active]
-            np.add(
-                delta[first:, None, :], log_transmat_T[None, :, :], out=sub_scores
-            )
-            sub_scores.argmax(axis=2, out=sub_arg)
-            np.add(flat_offsets[:flat], sub_arg.reshape(-1), out=gather_idx[:flat])
-            np.take(sub_scores.reshape(-1), gather_idx[:flat], out=best[:flat])
-            np.add(
-                best[:flat].reshape(n_active, n_states),
-                log_b[first:, t],
-                out=delta[first:],
-            )
-            backpointers[first:, t] = sub_arg
+        for t in range(1, length):  # repro: loop-ok[inherent time recursion]
+            np.add(delta[:, None, :], log_transmat_T[None, :, :], out=scores)
+            scores.argmax(axis=2, out=arg)
+            np.add(flat_offsets, flat_arg, out=gather_idx)
+            np.take(flat_scores, gather_idx, out=best)
+            np.add(best.reshape(batch, n_states), log_b[:, t], out=delta)
+            backpointers[t] = flat_arg
 
-        final_state = delta.argmax(axis=1)
-        log_joint = delta[rows, final_state]
-
-        paths = np.zeros((batch, max_len), dtype=np.int64)
-        paths[rows, lengths - 1] = final_state
-        for t in range(max_len - 2, -1, -1):  # repro: loop-ok[inherent backtrack recursion]
-            within = (t + 1) < lengths
-            follow = backpointers[rows, t + 1, paths[:, t + 1]]
-            paths[:, t] = np.where(within, follow, paths[:, t])
-
-        return [
-            (paths[b, : lengths[b]].copy(), float(log_joint[b])) for b in range(batch)
-        ]
+        state = delta.argmax(axis=1)
+        log_joint = delta[np.arange(batch), state]
+        paths = np.empty((batch, length), dtype=np.int64)
+        paths[:, -1] = state
+        row_offsets = np.arange(batch, dtype=np.intp) * n_states
+        for t in range(length - 1, 0, -1):  # repro: loop-ok[inherent backtrack recursion]
+            state = backpointers[t][row_offsets + state]
+            paths[:, t - 1] = state
+        return list(zip(paths, log_joint.tolist()))
 
     def _viterbi_log_params(
         self,
@@ -746,9 +742,9 @@ class ScaledBatchedBackend(InferenceBackend):
     ) -> LongDecodeResult:
         """Chunked Viterbi feeding window groups straight to the fused kernel.
 
-        Each group of windows becomes one padded ``(G, window, K)`` bucket
-        decoded by :meth:`_viterbi_bucket` — no per-window repack, no
-        length sorting (all windows have equal length).  ``group_size``
+        Each group of windows becomes one ``(G, window, K)`` bucket decoded
+        by :meth:`_viterbi_bucket` — no per-window repack, and no length
+        bookkeeping (all windows have equal length).  ``group_size``
         defaults to :data:`LONG_GROUP_SIZE`.
         """
         startprob = np.asarray(startprob, dtype=np.float64)
@@ -760,8 +756,8 @@ class ScaledBatchedBackend(InferenceBackend):
         if group_size is None:
             group_size = LONG_GROUP_SIZE
 
-        def decode_bucket(start_log, padded, lengths):
-            return self._viterbi_bucket(start_log, log_AT, padded, lengths)
+        def decode_bucket(start_log, windows):
+            return self._viterbi_bucket(start_log, log_AT, windows)
 
         # log_AT.T is exactly log(A) (the kernel keeps the transpose
         # contiguous); reuse it for stitch scoring instead of re-deriving.
@@ -791,11 +787,14 @@ class LogDomainBackend(InferenceBackend):
     name = "log"
 
     def _prepare(
-        self, startprob, transmat, corpus, scores, log_startprob, log_transmat
+        self, startprob, transmat, corpus, emissions, log_startprob, log_transmat
     ):
-        """Checked ``(log pi, log A, per-sequence tables)`` for the loops below."""
+        """Checked ``(log pi, log A, per-sequence tables)`` for the loops below.
+
+        An emission model scores the concatenated corpus once.
+        """
         startprob, transmat, scores = self._check_corpus(
-            startprob, transmat, corpus, scores
+            startprob, transmat, corpus, emissions
         )
         if log_startprob is None:
             log_startprob = safe_log(startprob)
@@ -804,11 +803,11 @@ class LogDomainBackend(InferenceBackend):
         return log_startprob, log_transmat, corpus.split(scores)
 
     def forward_backward_corpus(
-        self, startprob, transmat, corpus, scores,
+        self, startprob, transmat, corpus, emissions,
         log_startprob=None, log_transmat=None, sequence_xi=False,
     ) -> CorpusPosteriors:
         log_pi, log_A, tables = self._prepare(
-            startprob, transmat, corpus, scores, log_startprob, log_transmat
+            startprob, transmat, corpus, emissions, log_startprob, log_transmat
         )
         results = [compute_posteriors_from_log(log_pi, log_A, table) for table in tables]
         xi = np.array([r.xi_sum for r in results])
@@ -821,20 +820,20 @@ class LogDomainBackend(InferenceBackend):
         )
 
     def viterbi_corpus(
-        self, startprob, transmat, corpus, scores,
+        self, startprob, transmat, corpus, emissions,
         log_startprob=None, log_transmat=None,
     ) -> list[tuple[np.ndarray, float]]:
         log_pi, log_A, tables = self._prepare(
-            startprob, transmat, corpus, scores, log_startprob, log_transmat
+            startprob, transmat, corpus, emissions, log_startprob, log_transmat
         )
         return [viterbi_decode_from_log(log_pi, log_A, table) for table in tables]
 
     def log_likelihood_corpus(
-        self, startprob, transmat, corpus, scores,
+        self, startprob, transmat, corpus, emissions,
         log_startprob=None, log_transmat=None,
     ) -> np.ndarray:
         log_pi, log_A, tables = self._prepare(
-            startprob, transmat, corpus, scores, log_startprob, log_transmat
+            startprob, transmat, corpus, emissions, log_startprob, log_transmat
         )
         return np.array(
             [float(logsumexp(log_forward(log_pi, log_A, table)[-1])) for table in tables]
@@ -861,10 +860,10 @@ class LogDomainBackend(InferenceBackend):
         if log_transmat is None:
             log_transmat = safe_log(transmat)
 
-        def decode_bucket(start_log, padded, lengths):
+        def decode_bucket(start_log, windows):
             return [
-                viterbi_decode_from_log(start_log, log_transmat, padded[b, :n])
-                for b, n in enumerate(lengths)
+                viterbi_decode_from_log(start_log, log_transmat, window)
+                for window in windows
             ]
 
         return chunked_viterbi(

@@ -119,13 +119,15 @@ class BaumWelchTrainer:
         already-compiled :class:`~repro.hmm.corpus.CompiledCorpus` (e.g.
         shared with a subsequent batched decode).  Raw sequences are
         compiled once up front, so every EM iteration reuses the same
-        concatenated token arrays and packed time-major plan: per iteration
-        the corpus is re-scored with one vectorized emission call
-        (:meth:`CompiledCorpus.score`), the E-step is one
-        :meth:`InferenceEngine.posteriors_corpus` call (one gather, one
-        packed recursion, one gather back), and the M-step consumes the
-        stacked statistics directly — no per-sequence Python anywhere in
-        the loop.
+        concatenated token arrays and packed time-major plan.  The E-step
+        is one :meth:`InferenceEngine.posteriors_corpus` call handed the
+        emission model itself: the scaled backend asks it once for the
+        observation weights of the packed rows
+        (:meth:`~repro.hmm.emissions.base.EmissionModel.scaled_likelihoods`;
+        for categorical emissions one gather from ``B``, with no
+        ``(n_tokens, K)`` log table), runs one packed recursion and gathers
+        the posteriors back.  The M-step consumes the stacked statistics
+        directly — no per-sequence Python anywhere in the loop.
         """
         if isinstance(sequences, CompiledCorpus):
             corpus = sequences
@@ -141,7 +143,7 @@ class BaumWelchTrainer:
         for n_iter in range(1, self.max_iter + 1):
             engine = self.engine if self.engine is not None else model.inference_engine
             stats = engine.posteriors_corpus(
-                model.startprob, model.transmat, corpus, corpus.score(model.emissions)
+                model.startprob, model.transmat, corpus, model.emissions
             )
             history.append(stats.log_likelihood)
             if len(history) >= 2 and abs(history[-1] - history[-2]) < self.tol:

@@ -7,9 +7,11 @@ model parameters do.  :class:`CompiledCorpus` hoists all of it out of the
 loop:
 
 * the observations are concatenated into one flat token array (``concat``),
-  so emission scoring is a single vectorized call per iteration — one
-  ``(K, V)`` log-table lookup for categorical emissions, one matmul pair for
-  Bernoulli — returning an ``(n_tokens, K)`` table in the same order;
+  so emissions are evaluated with a single vectorized call per iteration:
+  the E-step asks the emission model for the observation weights of the
+  packed rows (one gather of ``B``'s columns for categorical emissions, no
+  log table), and decoding scores ``concat`` into an ``(n_tokens, K)`` log
+  table in the same order (:meth:`CompiledCorpus.score`);
 * the sequences are packed time-major once (:class:`PackedPlan`, the
   ``PackedSequence`` layout of PyTorch's ``pack_padded_sequence``): sorted
   by length, longest first, so the ``n_t`` sequences still active at step
@@ -18,10 +20,11 @@ loop:
   — no padding, no mask — and the number of Python steps is the longest
   sequence's length, not a sum over length-buckets;
 * the plan's ``rows`` map each packed row to its concatenated token, so
-  the kernels gather their packed inputs from the score table and scatter
-  posteriors back into a concatenated ``(N, K)`` ``gamma`` with one
-  fancy-index each — exactly the layout the vectorized emission M-steps
-  (bincount / matmul over the flat corpus) consume.
+  the kernels gather their packed inputs (from ``B`` or from the score
+  table) and return posteriors to a concatenated ``(N, K)`` ``gamma`` with
+  one fancy-index each — exactly the layout the vectorized emission
+  M-steps (a sparse token-indicator product for categorical emissions,
+  matmuls for the others, over the flat corpus) consume.
 
 The compiled structure is emission-agnostic (it stores the raw observation
 arrays) and model-agnostic (no probabilities are baked in), so one compile
@@ -255,9 +258,11 @@ class CompiledCorpus:
         Returns the ``(n_tokens, K)`` table in concatenated token order:
         the concatenated corpus is scored with one vectorized call
         (:meth:`~repro.hmm.emissions.base.EmissionModel.log_likelihoods`).
-        Callers deriving their own corpus-level scores (e.g. baselines
-        re-weighting log-likelihoods before decoding) pass any table of
-        this shape to the corpus kernels instead.
+        Decoding and likelihood scoring run on it; the training E-step
+        takes the emission model itself and builds no table.  Callers
+        deriving their own corpus-level scores (e.g. baselines re-weighting
+        log-likelihoods before decoding) pass any table of this shape to
+        the corpus kernels instead.
         """
         return emissions.log_likelihoods(self.concat)
 

@@ -5,6 +5,16 @@ HMM.  The HMM core only ever talks to emissions through this interface, so
 the same forward-backward / Viterbi / EM machinery serves the Gaussian toy
 experiment, the categorical PoS-tagging experiment, and the Bernoulli OCR
 experiment.
+
+Emissions reach the inference kernels in two forms.  The log-domain kernels
+(Viterbi, likelihood, the ``log`` reference backend, streaming) take
+:meth:`EmissionModel.log_likelihoods` tables.  The scaled forward-backward
+kernel, which the trainer's E-step runs, asks the model itself for
+probability-domain observation weights in packed order
+(:meth:`EmissionModel.scaled_likelihoods`): by default the log table's
+gathered rows shifted by their maximum and exponentiated
+(:func:`scaled_rows`), while categorical emissions gather the weights
+straight from ``B`` with no log and no ``exp``.
 """
 
 from __future__ import annotations
@@ -18,6 +28,25 @@ from repro.utils.rng import SeedLike
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hmm.corpus import CompiledCorpus
+
+
+def scaled_rows(  # repro: hot-path
+    log_b: np.ndarray, rows: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max-shifted observation weights ``exp(log_b[rows] - m)``.
+
+    The rows of the ``(N, K)`` log-likelihood table ``log_b`` listed in
+    ``rows`` are gathered into ``out`` and exponentiated in place after
+    subtracting each row's maximum ``m`` (0 for a row with no finite
+    entry), so every weight lies in ``[0, 1]``.  Returns ``(out, m)``.
+    """
+    # mode="clip" keeps take from buffering its output (every row is in
+    # range), so the gather allocates nothing beyond ``out``.
+    obs = np.take(log_b, rows, axis=0, out=out, mode="clip")
+    shift = np.max(obs, axis=1)
+    shift[~np.isfinite(shift)] = 0.0
+    obs -= shift[:, None]
+    return np.exp(obs, out=obs), shift
 
 
 class EmissionModel(abc.ABC):
@@ -103,10 +132,32 @@ class EmissionModel(abc.ABC):
         """Emission tables for a list of sequences.
 
         Equivalent to ``[self.log_likelihoods(s) for s in sequences]``.
-        The engine, the trainer and the tagging service score a compiled
-        corpus with one :meth:`log_likelihoods` call instead.
+        The engine and the tagging service score a compiled corpus with one
+        :meth:`log_likelihoods` call instead, and the trainer's E-step
+        makes one :meth:`scaled_likelihoods` call per iteration.
         """
         return [self.log_likelihoods(sequence) for sequence in sequences]
+
+    def scaled_likelihoods(
+        self, observations: np.ndarray, rows: np.ndarray, out: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Probability-domain observation weights of ``observations[rows]``.
+
+        Row ``r`` of the weights, written into ``out`` (shape
+        ``(len(rows), n_states)``), is ``P(y | x = i)`` for the token
+        ``observations[rows[r]]``, divided by ``exp(shift[r])``, a factor
+        common to the row.  The scaled forward-backward kernel needs no
+        more: it renormalizes its messages at every step, and adds the
+        shifts back to the log-likelihood.  Returns ``(weights, shift)``;
+        ``shift`` is ``None`` when the weights are the probabilities
+        themselves.
+
+        The default scores ``observations`` with :meth:`log_likelihoods`
+        and shifts every gathered row by its maximum (:func:`scaled_rows`).
+        A family whose likelihoods are probabilities to begin with
+        overrides it to skip the log and the ``exp``.
+        """
+        return scaled_rows(self.log_likelihoods(observations), rows, out)
 
     @abc.abstractmethod
     def m_step_compiled(self, corpus: "CompiledCorpus", gamma_concat: np.ndarray) -> None:

@@ -13,8 +13,13 @@ likelihood scoring.  It adds two things on top of the raw backends in
   so each timestep is one ``(n_t, K) @ (K, K)`` matmul over the ``n_t``
   sequences still active, and routes sequences past
   ``InferenceConfig.long_threshold`` through the chunked long-sequence
-  kernels.  The ``*_batch`` methods taking a list of per-sequence emission
-  tables are thin adapters that compile the tables as a corpus.
+  kernels.  The corpus entry points take the corpus' emissions as its
+  ``(n_tokens, K)`` log-likelihood table or as the emission model itself;
+  given the model, the scaled forward-backward kernel builds its
+  probability-domain observation weights straight from it (for
+  categorical emissions a gather from ``B``) and no log table exists.  The
+  ``*_batch`` methods taking a list of per-sequence emission tables are
+  thin adapters that compile the tables as a corpus.
 * **Parameter caching** — derived parameters (``log(pi)``, ``log(A)`` and
   float64 copies of ``pi`` / ``A``) are computed once and reused across
   calls as long as the model parameters are unchanged, so repeated decodes
@@ -40,6 +45,7 @@ from repro.hmm.backends import (
     build_backend,
 )
 from repro.hmm.corpus import CompiledCorpus, CorpusPosteriors
+from repro.hmm.emissions.base import EmissionModel
 from repro.hmm.forward_backward import SequencePosteriors
 from repro.hmm.longseq import (
     LongDecodeResult,
@@ -292,14 +298,14 @@ class InferenceEngine:
         )
 
     def _dispatch_corpus(
-        self, method_name, startprob, transmat, corpus, scores, **kwargs
+        self, method_name, startprob, transmat, corpus, emissions, **kwargs
     ):
         p = self._cached(startprob, transmat)
         return getattr(self.backend, method_name)(
             p.startprob,
             p.transmat,
             corpus,
-            scores,
+            emissions,
             log_startprob=p.log_startprob,
             log_transmat=p.log_transmat,
             **kwargs,
@@ -310,18 +316,23 @@ class InferenceEngine:
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores: np.ndarray,
+        emissions: np.ndarray | EmissionModel,
     ) -> CorpusPosteriors:
         """Stacked forward-backward statistics over a compiled corpus.
 
-        ``scores`` is the ``(n_tokens, K)`` emission table from
-        :meth:`CompiledCorpus.score`; the scaled backend gathers its packed
-        rows with one fancy-index and scatters the posteriors back into the
-        concatenated layout with another, so an EM iteration runs with zero
-        per-sequence Python.
+        ``emissions`` is the emission model, or the ``(n_tokens, K)``
+        emission table from :meth:`CompiledCorpus.score`.  The scaled
+        backend builds the observation weights of its packed rows in one
+        pass — from a model through
+        :meth:`~repro.hmm.emissions.base.EmissionModel.scaled_likelihoods`
+        (categorical emissions: one gather from ``B``, no log table), from
+        a table by one gather, shift and ``exp`` — and gathers the
+        posteriors back into the concatenated layout with one fancy-index,
+        so an EM iteration runs with zero per-sequence Python.  The ``log``
+        reference scores a model into its table once.
         """
         return self._dispatch_corpus(
-            "forward_backward_corpus", startprob, transmat, corpus, scores
+            "forward_backward_corpus", startprob, transmat, corpus, emissions
         )
 
     def sequence_posteriors_corpus(
@@ -329,7 +340,7 @@ class InferenceEngine:
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores: np.ndarray,
+        emissions: np.ndarray | EmissionModel,
     ) -> list[SequencePosteriors]:
         """Forward-backward posteriors of every corpus sequence, in order.
 
@@ -337,7 +348,7 @@ class InferenceEngine:
         carries the sequence's own ``xi_sum``, which training never needs.
         """
         stats = self._dispatch_corpus(
-            "forward_backward_corpus", startprob, transmat, corpus, scores,
+            "forward_backward_corpus", startprob, transmat, corpus, emissions,
             sequence_xi=True,
         )
         return [
@@ -352,11 +363,11 @@ class InferenceEngine:
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores: np.ndarray,
+        emissions: np.ndarray | EmissionModel,
     ) -> list[tuple[np.ndarray, float]]:
         """Viterbi path and joint log-probability per corpus sequence."""
         return self._dispatch_corpus(
-            "viterbi_corpus", startprob, transmat, corpus, scores
+            "viterbi_corpus", startprob, transmat, corpus, emissions
         )
 
     def log_likelihood_corpus(
@@ -364,11 +375,11 @@ class InferenceEngine:
         startprob: np.ndarray,
         transmat: np.ndarray,
         corpus: CompiledCorpus,
-        scores: np.ndarray,
+        emissions: np.ndarray | EmissionModel,
     ) -> np.ndarray:
         """Log marginal likelihood of every corpus sequence (1-D array)."""
         return self._dispatch_corpus(
-            "log_likelihood_corpus", startprob, transmat, corpus, scores
+            "log_likelihood_corpus", startprob, transmat, corpus, emissions
         )
 
     # -------------------------------------------------------------- #

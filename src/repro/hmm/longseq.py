@@ -54,7 +54,7 @@ of T — whenever the caller avoids materializing the full emission table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -305,7 +305,7 @@ def chunked_viterbi(  # repro: hot-path
     window: int,
     overlap: int,
     group_size: int,
-    decode_bucket: Callable[[np.ndarray, np.ndarray, np.ndarray], Sequence],
+    decode_bucket: Callable[[np.ndarray, np.ndarray], Iterable],
 ) -> LongDecodeResult:
     """Chunked long-sequence Viterbi: batched windows, stitched overlaps.
 
@@ -318,15 +318,16 @@ def chunked_viterbi(  # repro: hot-path
     window / overlap:
         Window plan knobs (see :func:`plan_windows`).
     group_size:
-        Windows decoded together as one padded bucket; the peak working
-        tensor is ``(group_size, window, K)`` — the memory ceiling.
+        Windows decoded together as one bucket; the peak working tensor is
+        ``(group_size, window, K)`` — the memory ceiling.
     decode_bucket:
-        ``decode_bucket(log_startprob, log_b, lengths)`` returning one
-        ``(path, log_joint)`` per bucket row — the backend's fused Viterbi
-        kernel.  The true ``log pi`` is folded into window 0's first
-        emission row, so a zero (uniform) start vector is passed for every
-        window; adding 0.0 is exact, keeping the single-window case
-        bit-identical to the unchunked kernel.
+        ``decode_bucket(log_startprob, log_b)`` returning one
+        ``(path, log_joint)`` per row of the ``(G, window, K)`` bucket
+        ``log_b`` — the backend's fused Viterbi kernel.  The windows of a
+        group all have the same length.  The true ``log pi`` is folded
+        into window 0's first emission row, so a zero (uniform) start
+        vector is passed for every window; adding 0.0 is exact, keeping
+        the single-window case bit-identical to the unchunked kernel.
     """
     if group_size < 1:
         raise ValidationError(f"group_size must be at least 1, got {group_size}")
@@ -352,14 +353,13 @@ def chunked_viterbi(  # repro: hot-path
         span_stop = spans[g1 - 1][1]
         block = source.fetch(span_start, span_stop)
         wlen = spans[g0][1] - spans[g0][0]
-        padded = np.empty((g1 - g0, wlen, n_states))
-        for g in range(g0, g1):  # repro: loop-ok[window views into the padded bucket]
+        windows = np.empty((g1 - g0, wlen, n_states))
+        for g in range(g0, g1):  # repro: loop-ok[window views into the bucket]
             s, e = spans[g]
-            padded[g - g0] = block[s - span_start : e - span_start]
+            windows[g - g0] = block[s - span_start : e - span_start]
         if g0 == 0:
-            padded[0, 0] += log_startprob
-        lengths = np.full(g1 - g0, wlen, dtype=np.int64)
-        decoded = decode_bucket(zero_start, padded, lengths)
+            windows[0, 0] += log_startprob
+        decoded = decode_bucket(zero_start, windows)
         max_resident = max(max_resident, g1 - g0)
 
         for g, (window_path, window_lj) in zip(range(g0, g1), decoded):  # repro: loop-ok[stitch bookkeeping per window]

@@ -43,12 +43,13 @@ def normalize_rows(matrix: np.ndarray, pseudocount: float = 0.0) -> np.ndarray:
     """
     arr = np.asarray(matrix, dtype=np.float64) + pseudocount
     sums = arr.sum(axis=1, keepdims=True)
-    n_cols = arr.shape[1]
-    uniform = np.full_like(arr, 1.0 / n_cols)
+    # In place on the fresh copy: an emission M-step normalizes a (K, V)
+    # table every EM iteration, and full-size temporaries cost page faults.
     with np.errstate(invalid="ignore", divide="ignore"):
-        normalized = arr / sums
-    valid = np.isfinite(sums) & (sums > 0)
-    return np.where(valid, normalized, uniform)
+        arr /= sums
+    valid = np.isfinite(sums[:, 0]) & (sums[:, 0] > 0)
+    arr[~valid] = 1.0 / arr.shape[1]
+    return arr
 
 
 def normalize_log_probabilities(log_values: np.ndarray, axis: int = -1) -> np.ndarray:

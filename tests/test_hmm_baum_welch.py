@@ -114,10 +114,15 @@ class _CountingEmission(CategoricalEmission):
         super().__init__(emission_probs)
         self.scoring_calls = 0
         self.batch_calls = 0
+        self.weight_calls = 0
 
     def log_likelihoods(self, observations):
         self.scoring_calls += 1
         return super().log_likelihoods(observations)
+
+    def scaled_likelihoods(self, observations, rows, out):
+        self.weight_calls += 1
+        return super().scaled_likelihoods(observations, rows, out)
 
     def log_likelihoods_batch(self, sequences):
         self.batch_calls += 1
@@ -145,9 +150,11 @@ class TestEStepUsesBatchScoring:
         emissions = _CountingEmission(truth.emissions.emission_probs)
         model = HMM(truth.startprob, truth.transmat, emissions)
         n_iter = BaumWelchTrainer(max_iter=4, tol=0.0).fit(model, observations).n_iter
-        # The compiled-corpus fit scores the concatenated corpus exactly
-        # once per EM iteration and never per sequence.
-        assert emissions.scoring_calls == n_iter
+        # The compiled-corpus fit asks the emission model for the packed
+        # observation weights exactly once per EM iteration, builds no log
+        # table and never scores per sequence.
+        assert emissions.weight_calls == n_iter
+        assert emissions.scoring_calls == 0
         assert emissions.batch_calls == 0
 
 

@@ -87,30 +87,24 @@ class TestViterbiTieBreaking:
             np.testing.assert_array_equal(g_path, ref_path)
             assert g_lj == ref_lj
 
-    def test_unsorted_bucket_lengths_are_handled(self):
-        # The kernel's active-suffix optimization assumes length-sorted
-        # buckets; calling it directly with unsorted lengths must re-sort
-        # defensively and return results in the caller's order.
+    def test_window_bucket_decodes_bit_identically(self):
+        # The window-group kernel decodes a bucket of equal-length windows
+        # (the long-sequence decoder's groups) row by row exactly as the
+        # reference decodes each window alone, and its paths are rows of
+        # one array, not per-window copies.
         rng = np.random.default_rng(3)
         k = 3
-        emissions = CategoricalEmission(rng.dirichlet(np.ones(4), size=k))
         startprob = rng.dirichlet(np.ones(k))
         transmat = rng.dirichlet(np.ones(k), size=k)
-        sequences = [rng.integers(0, 4, size=n) for n in (9, 2, 6)]
-        tables = emissions.log_likelihoods_batch(sequences)
-        scaled, reference = _engines()
-        backend = scaled.backend
-        from repro.utils.maths import safe_log
-
+        windows = rng.normal(-2.0, 1.5, size=(5, 9, k))
+        backend = InferenceEngine(backend="scaled").backend
         log_pi, log_AT = backend._viterbi_log_params(startprob, transmat, None, None)
-        padded = np.zeros((3, 9, k))
-        for row, table in enumerate(tables):
-            padded[row, : table.shape[0]] = table
-        got = backend._viterbi_bucket(
-            log_pi, log_AT, padded, np.array([9, 2, 6])
-        )
-        want = reference.viterbi_batch(startprob, transmat, tables)
-        for (g_path, g_lj), (w_path, w_lj) in zip(got, want):
+        got = backend._viterbi_bucket(log_pi, log_AT, windows)
+        assert len(got) == windows.shape[0]
+        assert got[0][0].base is got[1][0].base is not None
+        assert backend.last_backpointer_dtype == np.uint8
+        for (g_path, g_lj), window in zip(got, windows):
+            w_path, w_lj = viterbi_decode(startprob, transmat, window)
             np.testing.assert_array_equal(g_path, w_path)
             assert g_lj == w_lj
 
