@@ -26,6 +26,17 @@ E-step and the per-state ``bincount`` M-step kept below as the baseline.
 It must be at least ``BENCH_MIN_PROB_ESTEP_SPEEDUP`` times faster, match
 the baseline to 1e-8, and peak no higher under tracemalloc.
 
+A fourth benchmark gates the DPP transition M-step (the paper's MAP update,
+Sec. 3.4.1) on the M-step instances of a dHMM fit at the same shape
+(alpha = 100, 20 EM iterations, as perfbench's ``train_dhmm_pos``): the
+converged fixed-point / Newton ascent against the 50-step projected
+gradient ascent it replaced, kept below as the baseline.  It must be at
+least ``BENCH_MIN_DPP_MSTEP_SPEEDUP`` times faster in the median, end every
+instance within 1e-3 nats of a reference optimum (L-BFGS-B polishing the
+result, computed here), and never below the baseline's result.  Two
+prior-dominated instance sets (alpha = 1000 on 600 sentences, and this
+file's 400-sentence corpus at alpha = 100) are recorded beside it.
+
 Results merge into ``BENCH_training.json`` at the repository root.
 """
 
@@ -39,8 +50,13 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.conftest import merge_results, print_header
-from perfbench.inputs import PAPER_SENTENCES, PosSource
+from perfbench.inputs import PAPER_SENTENCES, PAPER_VOCABULARY, PosSource
+from repro.core import transition_prior
+from repro.core.config import DHMMConfig
+from repro.core.diversified_hmm import DiversifiedHMM
+from repro.core.transition_prior import DiversityTransitionUpdater, DPPTransitionPrior
 from repro.hmm import BaumWelchTrainer, CategoricalEmission, HMM, InferenceEngine
+from repro.optim.projected_gradient import maximize_rowwise_simplex
 from repro.utils.maths import normalize_rows
 
 #: Acceptance floor for full-EM-iteration throughput of the scaled backend
@@ -59,6 +75,13 @@ MAX_PACKED_ESTEP_MEMORY_RATIO = 1.25
 #: Acceptance floor for the E-step and emission M-step through the emission
 #: model over the log-table E-step with the per-state bincount M-step.
 MIN_PROB_ESTEP_SPEEDUP = float(os.environ.get("BENCH_MIN_PROB_ESTEP_SPEEDUP", "1.4"))
+
+#: Acceptance floor for the median DPP transition M-step of the converged
+#: ascent over the 50-step projected-gradient update at the PoS shape.
+MIN_DPP_MSTEP_SPEEDUP = float(os.environ.get("BENCH_MIN_DPP_MSTEP_SPEEDUP", "4.0"))
+
+#: Largest shortfall (nats) of a PoS-shape M-step below the reference optimum.
+MAX_DPP_MSTEP_SHORTFALL = 1e-3
 
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_training.json"
 
@@ -434,3 +457,246 @@ def test_probability_estep_speedup(benchmark):
 
     assert speedup >= MIN_PROB_ESTEP_SPEEDUP
     assert model_peak <= table_peak
+
+
+# ------------------------------------------------------------------ #
+# Converged DPP transition M-step vs 50 projected-gradient steps
+# ------------------------------------------------------------------ #
+class _RecordingUpdater(DiversityTransitionUpdater):
+    """The dHMM's transition updater, keeping each M-step's inputs."""
+
+    def __init__(self, prior: DPPTransitionPrior, config: DHMMConfig) -> None:
+        super().__init__(prior, config)
+        self.instances: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def update(self, expected_counts: np.ndarray, current: np.ndarray) -> np.ndarray:
+        self.instances.append((np.array(expected_counts), np.array(current)))
+        return super().update(expected_counts, current)
+
+
+def _m_step_instances(words, vocabulary_size, alpha, n_iter, seed):
+    """The fit's updater and ``(counts, current)`` of each of its M-steps.
+
+    A 15-state dHMM fit records its inputs; the returned updater is a
+    fresh one with the same prior and config, so re-running it records
+    nothing.  The estimator is built as perfbench's ``train_dhmm_pos``
+    builds it, so the PoS-shape instances are the ones that benchmark's
+    M-steps solve.
+    """
+    config = DHMMConfig(alpha=alpha, max_em_iter=n_iter, em_tol=0.0)
+    uniform = np.full((15, vocabulary_size), 1.0 / vocabulary_size)
+    estimator = DiversifiedHMM(CategoricalEmission(uniform), config=config, seed=seed)
+    recorder = _RecordingUpdater(
+        DPPTransitionPrior(alpha=alpha, rho=config.rho, jitter=config.kernel_jitter), config
+    )
+    estimator.build_trainer = lambda: BaumWelchTrainer(  # type: ignore[method-assign]
+        transition_updater=recorder, max_iter=n_iter, tol=0.0
+    )
+    estimator.fit(words)
+    return DiversityTransitionUpdater(recorder.prior, config), recorder.instances
+
+
+def _projected_gradient_update(updater, counts):
+    """The transition M-step before the fixed point: Algorithm 1, 50 steps.
+
+    Warm-started from the normalized counts (``current`` is ignored), with
+    the config's iteration cap, tolerance and step size.
+    """
+    cfg = updater.config
+    floor = cfg.transition_floor
+
+    def gradient(A):
+        safe_A = np.clip(A, floor, None)
+        return counts / safe_A + updater.prior.gradient(safe_A)
+
+    return maximize_rowwise_simplex(
+        lambda A: updater.objective(counts, A),
+        gradient,
+        normalize_rows(counts, pseudocount=floor),
+        max_iter=cfg.max_inner_iter,
+        tol=cfg.inner_tol,
+        initial_step=cfg.initial_step,
+        min_value=floor,
+    ).solution
+
+
+def _reference_optimum(updater, counts, start) -> float:
+    """The objective L-BFGS-B reaches from ``start`` over a floored row softmax.
+
+    ``A = floor + (1 - K floor) softmax(theta)`` keeps every row on the
+    M-step's feasible set; the chain rule runs through the exact gradient
+    of the objective (:meth:`DPPTransitionPrior.gradient`).  Started from a
+    solver's result, it certifies that no ascent is left there.
+    """
+    from scipy.optimize import minimize
+
+    k = counts.shape[0]
+    floor = updater.config.transition_floor
+    mass = 1.0 - k * floor
+
+    def unpack(theta):
+        z = theta.reshape(k, k)
+        z = np.exp(z - z.max(axis=1, keepdims=True))
+        probs = z / z.sum(axis=1, keepdims=True)
+        return floor + mass * probs, probs
+
+    def negated(theta):
+        A, probs = unpack(theta)
+        grad = mass * (counts / A + updater.prior.gradient(A))
+        grad_theta = probs * (grad - np.sum(probs * grad, axis=1, keepdims=True))
+        return -updater.objective(counts, A), -grad_theta.ravel()
+
+    theta = np.log(np.clip((start - floor) / mass, 1e-300, None)).ravel()
+    found = minimize(
+        negated, theta, jac=True, method="L-BFGS-B",
+        options={"maxiter": 3000, "maxcor": 30, "ftol": 1e-15, "gtol": 1e-10},
+    )
+    return updater.objective(counts, unpack(found.x)[0])
+
+
+class _StepCounter:
+    """Counts the ascent's fixed-point and Newton steps while installed."""
+
+    def __init__(self) -> None:
+        self.fixed_point = 0
+        self.newton = 0
+        ascent = transition_prior._SqrtKernelAscent
+        self._originals = (ascent._fixed_point_run, ascent._newton_run)
+
+    def __enter__(self) -> "_StepCounter":
+        fixed_point_run, newton_run = self._originals
+
+        def counted_fixed_point(ascent, *args):
+            result = fixed_point_run(ascent, *args)
+            self.fixed_point += result[3]
+            return result
+
+        def counted_newton(ascent, *args):
+            result = newton_run(ascent, *args)
+            self.newton += result[3]
+            return result
+
+        transition_prior._SqrtKernelAscent._fixed_point_run = counted_fixed_point
+        transition_prior._SqrtKernelAscent._newton_run = counted_newton
+        return self
+
+    def __exit__(self, *exc) -> None:
+        ascent = transition_prior._SqrtKernelAscent
+        ascent._fixed_point_run, ascent._newton_run = self._originals
+
+
+def _measure_m_steps(updater, instances, rounds: int) -> dict:
+    """Time both updates per instance (alternating, best of ``rounds``) and score them.
+
+    The reference optimum of an instance is the better of the solver's
+    result and L-BFGS-B polishing it.  (Started from the counts or the
+    current matrix instead, L-BFGS-B takes up to 15 s per instance here.)
+    """
+    rows = []
+    for counts, current in instances:
+        new_s, base_s = [], []
+        for _ in range(rounds):
+            start = time.perf_counter()
+            solution = updater.update(counts, current)
+            new_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            baseline = _projected_gradient_update(updater, counts)
+            base_s.append(time.perf_counter() - start)
+        with _StepCounter() as steps:
+            updater.update(counts, current)
+        value = updater.objective(counts, solution)
+        reference = max(value, _reference_optimum(updater, counts, solution))
+        rows.append({
+            "ms": min(new_s) * 1e3,
+            "baseline_ms": min(base_s) * 1e3,
+            "fixed_point_steps": steps.fixed_point,
+            "newton_steps": steps.newton,
+            "shortfall": reference - value,
+            "baseline_shortfall": reference - updater.objective(counts, baseline),
+            "above_baseline": value - updater.objective(counts, baseline),
+        })
+    column = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    return {
+        "n_m_steps": len(rows),
+        "ms": {"median": float(np.median(column["ms"])), "max": float(column["ms"].max())},
+        "baseline_ms": {
+            "median": float(np.median(column["baseline_ms"])),
+            "max": float(column["baseline_ms"].max()),
+        },
+        "median_speedup": float(np.median(column["baseline_ms"]) / np.median(column["ms"])),
+        "fixed_point_steps": {
+            "median": float(np.median(column["fixed_point_steps"])),
+            "max": int(column["fixed_point_steps"].max()),
+        },
+        "newton_steps": {
+            "median": float(np.median(column["newton_steps"])),
+            "max": int(column["newton_steps"].max()),
+        },
+        "shortfall_nats": {
+            "median": float(np.median(column["shortfall"])),
+            "max": float(column["shortfall"].max()),
+        },
+        "baseline_shortfall_nats": {
+            "median": float(np.median(column["baseline_shortfall"])),
+            "max": float(column["baseline_shortfall"].max()),
+        },
+        "min_gain_over_baseline_nats": float(column["above_baseline"].min()),
+        "per_m_step_shortfall_nats": [float(x) for x in column["shortfall"]],
+    }
+
+
+def test_dpp_mstep_speedup(benchmark, pos_corpus):
+    source = PosSource.from_seed(3)
+    words = source.sample(PAPER_SENTENCES, stream=1).words
+    updater, paper_shape = _m_step_instances(words, PAPER_VOCABULARY, 100.0, 20, seed=3)
+    paper = _measure_m_steps(updater, paper_shape, rounds=3)
+
+    dominated = {}
+    prior_sets = (
+        ("alpha1000_600_sentences", PosSource.from_seed(0).sample(600, stream=1).words,
+         PAPER_VOCABULARY, 1000.0, "perfbench.inputs.PosSource, seed 0, stream 1"),
+        ("alpha100_bench_corpus", pos_corpus.words, pos_corpus.vocabulary_size, 100.0,
+         "benchmarks.conftest.pos_corpus (400 sentences, V = 800)"),
+    )
+    for name, set_words, vocabulary, alpha, source_name in prior_sets:
+        set_updater, instances = _m_step_instances(set_words, vocabulary, alpha, 25, seed=0)
+        dominated[name] = {
+            "workload": {"source": source_name, "alpha": alpha, "em_iterations": 25,
+                         "n_tokens": int(sum(len(w) for w in set_words))},
+            **_measure_m_steps(set_updater, instances, rounds=1),
+        }
+
+    results = {
+        "dpp_mstep": {
+            "paper_shape": {
+                "workload": {
+                    "source": "perfbench.inputs.PosSource, seed 3, stream 1",
+                    "n_sentences": PAPER_SENTENCES,
+                    "n_states": 15,
+                    "vocabulary_size": PAPER_VOCABULARY,
+                    "alpha": 100.0,
+                    "em_iterations": 20,
+                },
+                **paper,
+            },
+            **dominated,
+        }
+    }
+    merge_results(_RESULT_PATH, results)
+
+    print_header("Training - DPP transition M-step: fixed point + Newton vs projected gradient")
+    for name, row in (("paper shape", paper), *dominated.items()):
+        print(f"{name:>24}: {row['ms']['median']:6.2f} ms (max {row['ms']['max']:7.2f}) | "
+              f"baseline {row['baseline_ms']['median']:6.2f} ms | "
+              f"short max {row['shortfall_nats']['max']:.2e} nats "
+              f"(baseline {row['baseline_shortfall_nats']['median']:.1f})")
+    print(f"results merged into {_RESULT_PATH.name}")
+
+    benchmark.extra_info.update(dpp_mstep_speedup=paper["median_speedup"])
+    counts, current = paper_shape[-1]
+    benchmark.pedantic(lambda: updater.update(counts, current), rounds=1, iterations=1)
+
+    assert paper["median_speedup"] >= MIN_DPP_MSTEP_SPEEDUP
+    assert paper["shortfall_nats"]["max"] <= MAX_DPP_MSTEP_SHORTFALL
+    for row in (paper, *dominated.values()):
+        assert row["min_gain_over_baseline_nats"] >= 0.0

@@ -437,17 +437,27 @@ class DHMMConfig:
         ``-alpha_A * ||A - A0||^2`` keeping the refined transition matrix
         near the count estimate (paper: 1e5).
     max_em_iter, em_tol:
-        EM stopping criteria (unsupervised setting).
+        EM stopping criteria (unsupervised setting); ``em_tol`` bounds the
+        per-iteration change of the MAP objective (likelihood plus the
+        weighted DPP log prior).
     max_inner_iter, inner_tol:
-        Stopping criteria of the projected-gradient transition M-step
-        (Algorithm 1's iteration cap and ``delta`` threshold).
+        Stopping criteria of projected gradient ascent, the paper's
+        Algorithm 1 (iteration cap and ``delta`` threshold).  It runs the
+        supervised refinement (``SupervisedDiversifiedHMM``), the
+        unsupervised transition M-step when ``rho != 0.5``, and the
+        projection ablation.  The
+        unsupervised ``rho = 0.5`` M-step is the converged fixed point /
+        Newton ascent of :mod:`repro.core.transition_prior`, whose step
+        caps and tolerance are module constants.
     initial_step:
-        Initial step size of the adaptive gradient-ascent step controller.
+        Initial step size of projected gradient ascent's adaptive step
+        controller (same users as ``max_inner_iter``).
     transition_floor:
         Smallest admissible transition probability, keeping the DPP kernel
-        and the log-likelihood finite.
+        and the log-likelihood finite (every transition M-step).
     kernel_jitter:
-        Diagonal jitter added to the DPP kernel before inversion.
+        Diagonal jitter added to the DPP kernel before inversion (every
+        evaluation of the prior).
     """
 
     alpha: float = 1.0

@@ -2,10 +2,12 @@
 
 ``DiversifiedHMM`` exposes a scikit-learn-flavoured estimator API
 (``fit`` / ``predict`` / ``score``) over the HMM substrate: the E-step is
-classical forward-backward, and the transition M-step is the projected
-gradient ascent on the expected transition counts plus the weighted DPP
-log-determinant prior.  Setting ``alpha = 0`` recovers the classical
-Baum-Welch HMM exactly, which is how the paper's "HMM" baseline is run.
+classical forward-backward, and the transition M-step maximizes the
+expected transition log-likelihood plus the weighted DPP log-determinant
+prior to convergence (:class:`~repro.core.transition_prior.DiversityTransitionUpdater`),
+never lowering it, so the MAP objective does not fall across EM
+iterations.  Setting ``alpha = 0`` recovers the classical Baum-Welch HMM
+exactly, which is how the paper's "HMM" baseline is run.
 """
 
 from __future__ import annotations
@@ -123,9 +125,12 @@ class DiversifiedHMM:
         (e.g. shared across an ablation grid), in which case the one-time
         encoding is reused by every EM iteration instead of re-deriving it.
 
-        Returns the :class:`~repro.hmm.baum_welch.FitResult` with the
-        log-likelihood trace (likelihood only, excluding the prior term, so
-        HMM and dHMM traces are directly comparable).
+        Returns the :class:`~repro.hmm.baum_welch.FitResult`.  Its
+        ``history`` is the log-likelihood trace (likelihood only, so HMM and
+        dHMM traces are directly comparable); ``map_objective`` adds the
+        weighted DPP log prior of the transition matrix each E-step ran
+        with.  EM stops when the MAP objective changes by less than
+        ``em_tol``.
         """
         raw_sequences = (
             sequences.sequences if isinstance(sequences, CompiledCorpus) else sequences

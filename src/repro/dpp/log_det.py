@@ -85,6 +85,20 @@ def log_det_psd(matrix: np.ndarray, jitter: float = 0.0) -> float:
     return _log_det_from_factor(kind, factor)
 
 
+def psd_log_det_and_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[float, np.ndarray]:
+    """``log det(matrix)`` and ``matrix^-1 rhs`` from one factorization.
+
+    Cholesky when it succeeds, otherwise the clamped eigendecomposition of
+    :func:`log_det_psd`; the solve reuses whichever factor was computed.
+    """
+    kind, factor = _factorize_psd(np.asarray(matrix, dtype=np.float64))
+    log_det = _log_det_from_factor(kind, factor)
+    if kind == "cholesky":
+        return log_det, cho_solve((factor, True), rhs, check_finite=False)
+    eigvals, eigvecs = factor
+    return log_det, eigvecs @ ((eigvecs.T @ rhs) / eigvals[:, None])
+
+
 def dpp_log_prior(
     transition_matrix: np.ndarray, rho: float = 0.5, jitter: float = 1e-10
 ) -> float:

@@ -39,14 +39,19 @@ class FitResult:
     n_iter:
         Number of EM iterations performed.
     converged:
-        Whether the improvement dropped below the tolerance before the
-        iteration cap was reached.
+        Whether the improvement of the MAP objective dropped below the
+        tolerance before the iteration cap was reached.
+    map_objective:
+        MAP objective after every EM iteration: the log-likelihood plus the
+        transition updater's log prior of the ``A`` that E-step ran with
+        (equal to ``history`` for maximum-likelihood updaters).
     """
 
     log_likelihood: float
     history: list[float] = field(default_factory=list)
     n_iter: int = 0
     converged: bool = False
+    map_objective: list[float] = field(default_factory=list)
 
 
 class BaumWelchTrainer:
@@ -58,8 +63,8 @@ class BaumWelchTrainer:
         Strategy used for the transition M-step; defaults to the classical
         normalized-counts update.
     max_iter, tol:
-        EM stopping criteria (iteration cap and minimum log-likelihood
-        improvement).
+        EM stopping criteria (iteration cap and minimum improvement of the
+        MAP objective, log-likelihood plus the updater's log prior).
     update_startprob, update_emissions, update_transitions:
         Flags allowing individual parameter blocks to be frozen, used by
         ablation experiments and by supervised fine-tuning.
@@ -138,6 +143,7 @@ class BaumWelchTrainer:
             corpus = engine.compile(sequences)
 
         history: list[float] = []
+        map_objective: list[float] = []
         converged = False
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
@@ -146,7 +152,10 @@ class BaumWelchTrainer:
                 model.startprob, model.transmat, corpus, model.emissions
             )
             history.append(stats.log_likelihood)
-            if len(history) >= 2 and abs(history[-1] - history[-2]) < self.tol:
+            map_objective.append(
+                stats.log_likelihood + self.transition_updater.log_prior(model.transmat)
+            )
+            if len(map_objective) >= 2 and abs(map_objective[-1] - map_objective[-2]) < self.tol:
                 converged = True
                 break
             self._m_step(model, corpus, stats)
@@ -162,5 +171,9 @@ class BaumWelchTrainer:
             )
         final_ll = history[-1] if history else float("-inf")
         return FitResult(
-            log_likelihood=final_ll, history=history, n_iter=n_iter, converged=converged
+            log_likelihood=final_ll,
+            history=history,
+            n_iter=n_iter,
+            converged=converged,
+            map_objective=map_objective,
         )

@@ -4,7 +4,7 @@ The only place where the dHMM differs from the classical Baum-Welch
 algorithm is the M-step for the transition matrix ``A``.  The trainer
 therefore delegates that update to a :class:`TransitionUpdater`; the plain
 maximum-likelihood updater lives here, and the diversity-regularized updater
-(projected gradient ascent on counts + DPP log-det) lives in
+(a converged ascent of counts + DPP log-det) lives in
 :mod:`repro.core.transition_prior`.
 """
 
@@ -40,6 +40,14 @@ class TransitionUpdater(abc.ABC):
         """Objective value this updater maximizes (for convergence traces)."""
         safe = np.clip(transmat, 1e-300, None)
         return float(np.sum(expected_counts * np.log(safe)))
+
+    def log_prior(self, transmat: np.ndarray) -> float:
+        """Log prior of ``transmat`` added to the likelihood in the MAP objective.
+
+        The maximum-likelihood updaters have none (0.0), so their MAP
+        objective is the likelihood itself.
+        """
+        return 0.0
 
 
 class MaximumLikelihoodTransitionUpdater(TransitionUpdater):

@@ -53,8 +53,9 @@ class TestDiversifiedHMMFit:
         reference = HMM.random_init(ref_emissions, seed=rng)
         BaumWelchTrainer(max_iter=5, tol=1e-4).fit(reference, toy_data.observations)
 
-        assert np.allclose(dhmm.transmat_, reference.transmat)
-        assert np.allclose(dhmm.startprob_, reference.startprob)
+        assert np.array_equal(dhmm.transmat_, reference.transmat)
+        assert np.array_equal(dhmm.startprob_, reference.startprob)
+        assert dhmm.fit_result_.map_objective == dhmm.fit_result_.history
 
     def test_diversity_prior_increases_transition_diversity(self, flat_toy_data):
         hmm = make_model(flat_toy_data, alpha=0.0, seed=2, max_em_iter=15)
@@ -81,6 +82,27 @@ class TestDiversifiedHMMFit:
         assert np.isfinite(result.log_likelihood)
         predictions = model.predict(tiny_pos_corpus.words)
         assert len(predictions) == tiny_pos_corpus.n_sentences
+
+    @pytest.mark.parametrize("alpha", [10.0, 100.0, 1000.0])
+    def test_map_objective_is_monotone(self, tiny_pos_corpus, alpha):
+        # MAP-EM: exact E-step, exact pi/B updates and a transition update
+        # that never lowers its objective cannot lower ll + alpha log det.
+        emissions = CategoricalEmission.random_init(
+            tiny_pos_corpus.n_tags, tiny_pos_corpus.vocabulary_size, seed=0
+        )
+        model = DiversifiedHMM(
+            emissions, DHMMConfig(alpha=alpha, max_em_iter=25, em_tol=0.0), seed=0
+        )
+        result = model.fit(tiny_pos_corpus.words)
+        objective = np.array(result.map_objective)
+        assert len(objective) == result.n_iter == 25
+        assert np.all(np.diff(objective) >= -1e-9 * np.abs(objective[1:]))
+
+    def test_fit_converges_on_the_map_objective(self, toy_data):
+        model = make_model(toy_data, alpha=100.0, max_em_iter=200)
+        result = model.fit(toy_data.observations)
+        assert result.converged
+        assert abs(result.map_objective[-1] - result.map_objective[-2]) < model.config.em_tol
 
     def test_empty_sequences_raise(self, toy_data):
         model = make_model(toy_data, alpha=1.0)

@@ -17,7 +17,40 @@ def make_ground_truth_categorical():
     return HMM(startprob, transmat, emissions)
 
 
+class _DriftingPriorUpdater(MaximumLikelihoodTransitionUpdater):
+    """ML updates under a log prior that rises by 1 nat per evaluation."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def log_prior(self, transmat):
+        self.calls += 1
+        return float(self.calls)
+
+
 class TestBaumWelchTrainer:
+    def test_tol_reads_the_map_objective(self):
+        # The likelihood settles within a few iterations; the MAP objective
+        # (likelihood + log prior) keeps rising, so EM must not stop.
+        truth = make_ground_truth_categorical()
+        _, observations = truth.sample_dataset(40, 15, seed=0)
+        model = HMM.random_init(CategoricalEmission.random_init(2, 3, seed=1), seed=1)
+        result = BaumWelchTrainer(
+            transition_updater=_DriftingPriorUpdater(), max_iter=40, tol=0.5
+        ).fit(model, observations)
+        assert not result.converged and result.n_iter == 40
+        assert abs(result.history[-1] - result.history[-2]) < 0.5
+        expected = [ll + k for k, ll in enumerate(result.history, start=1)]
+        assert result.map_objective == expected
+
+    def test_ml_map_objective_is_the_likelihood(self):
+        truth = make_ground_truth_categorical()
+        _, observations = truth.sample_dataset(40, 15, seed=0)
+        model = HMM.random_init(CategoricalEmission.random_init(2, 3, seed=1), seed=1)
+        result = BaumWelchTrainer(max_iter=20).fit(model, observations)
+        assert result.map_objective == result.history
+
     def test_log_likelihood_is_monotone_non_decreasing(self):
         truth = make_ground_truth_categorical()
         _, observations = truth.sample_dataset(40, 15, seed=0)
