@@ -61,14 +61,15 @@ NEWTON_STEPS = 50
 #: from its rate), or a Newton step, are predicted to gain less than this
 #: many nats.
 GAIN_TOL = 1e-6
-#: A fixed-point run whose remaining gain is under ``GAIN_TOL`` ends the
-#: ascent only if its last search accepted at least this much of the step.
+#: A fixed-point run whose remaining gain is under ``GAIN_TOL`` has
+#: settled only if its last search accepted at least this much of the
+#: step; after a shorter one it has stalled.
 CONVERGED_STEP = 0.25
 #: Fixed-point steps over which the convergence rate is measured ...
 RATE_WINDOW = 4
 #: ... and the most further steps that rate may need to bring the
-#: remaining gain under ``GAIN_TOL`` before Newton takes over (a Newton step costs about five fixed-point
-#: steps at K = 15).
+#: remaining gain under ``GAIN_TOL`` before Newton takes over (a Newton
+#: step costs about five fixed-point steps at K = 15).
 FIXED_POINT_BUDGET = 30
 #: Conjugate-gradient iterations per Newton step, and the relative
 #: (preconditioned) residual at which they stop.
