@@ -45,8 +45,8 @@ from repro.serving import (
     ModelRegistry,
     StreamingDecoder,
     TaggingService,
-    load_model,
-    save_model,
+    load_artifact,
+    save_artifact,
 )
 
 __version__ = "1.0.0"
@@ -65,8 +65,8 @@ __all__ = [
     "ModelRegistry",
     "TaggingService",
     "StreamingDecoder",
-    "save_model",
-    "load_model",
+    "save_artifact",
+    "load_artifact",
     "ReproError",
     "ValidationError",
     "NotFittedError",

@@ -3,7 +3,7 @@
 Provides the probability product kernel between discrete distributions, the
 normalized correlation kernel used by the dHMM transition prior, log-det
 scores and gradients, elementary symmetric polynomials, and discrete
-(k-)DPP samplers and MAP inference for completeness.
+(k-)DPP samplers for completeness.
 """
 
 from repro.dpp.kernels import (
@@ -20,7 +20,6 @@ from repro.dpp.log_det import (
 from repro.dpp.esp import elementary_symmetric_polynomials
 from repro.dpp.kdpp import KDPP
 from repro.dpp.sampler import sample_dpp, sample_kdpp
-from repro.dpp.map_inference import greedy_map_dpp
 
 __all__ = [
     "probability_product_kernel",
@@ -34,5 +33,4 @@ __all__ = [
     "KDPP",
     "sample_dpp",
     "sample_kdpp",
-    "greedy_map_dpp",
 ]

@@ -4,7 +4,9 @@ The engine (:mod:`repro.hmm.engine`) delegates all forward-backward, Viterbi
 and likelihood computations to an :class:`InferenceBackend`.  Every backend
 method runs over a :class:`~repro.hmm.corpus.CompiledCorpus` and its
 emissions (``forward_backward_corpus`` / ``viterbi_corpus`` /
-``log_likelihood_corpus``), plus ``viterbi_long`` for one long sequence.
+``log_likelihood_corpus``).  ``viterbi_long``, the chunked decode of one
+long sequence, is written once on the base class; a backend supplies only
+its decode of one group of equal-length windows (``_viterbi_bucket``).
 The emissions are the ``(n_tokens, K)`` log-likelihood table or the
 :class:`~repro.hmm.emissions.base.EmissionModel` itself; the scaled
 forward-backward kernel asks a model for probability-domain weights in
@@ -20,14 +22,17 @@ backends are provided:
   position of its longest sequence.  The expected transition counts
   ``xi_sum`` accumulate one ``(K, n_t) @ (n_t, K)`` matmul per step.
   Viterbi decoding runs in the *log* domain (its recursion is max-only, so
-  no scaling is needed) through a fused kernel that is bit-identical to the
-  reference — see :meth:`~ScaledBatchedBackend._viterbi_packed`.  Long
+  no scaling is needed) through one fused kernel that is bit-identical to
+  the reference — see :meth:`~ScaledBatchedBackend._viterbi_packed`.  It
+  decodes packed corpora and requests, and each long-sequence window
+  group as the packed plan of equal-length sequences it is.  Long
   sequences (the corpus' ``long_windows``) take the chunked Viterbi and
   segment-scan kernels of :mod:`repro.hmm.longseq`.
 * :class:`LogDomainBackend` — the original per-sequence log-space
-  recursions, looped over the corpus one sequence at a time and kept as a
-  bit-identical reference so equivalence of the scaled engine is testable
-  (see ``tests/test_hmm_engine.py``).
+  recursions, looped over the corpus one sequence at a time (and over a
+  window group one window at a time) and kept as a bit-identical reference
+  so equivalence of the scaled engine is testable (see
+  ``tests/test_hmm_engine.py``).
 
 Scaling scheme
 --------------
@@ -56,6 +61,7 @@ from __future__ import annotations
 import abc
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -91,9 +97,9 @@ __all__ = [
 #: entire forward message underflows (mirrors ``LOG_EPS`` of the reference).
 _TINY = 1e-300
 
-#: Windows of one long sequence decoded together as one bucket by
-#: :meth:`ScaledBatchedBackend.viterbi_long` unless a caller sets
-#: ``group_size``; the bucket is ``(LONG_GROUP_SIZE, window, K)``.
+#: Windows of one long sequence decoded together as one group by
+#: :meth:`InferenceBackend.viterbi_long` unless a caller sets
+#: ``group_size``; the group is ``(window, LONG_GROUP_SIZE, K)``.
 LONG_GROUP_SIZE = 64
 
 #: Bytes of the ``(rows, K, K)`` score buffer of one packed Viterbi step;
@@ -104,8 +110,8 @@ _VITERBI_TILE_BYTES = 1 << 20
 def viterbi_backpointer_dtype(n_states: int) -> np.dtype:
     """Smallest unsigned integer dtype that can index ``n_states`` states.
 
-    Viterbi backpointers hold ``K`` entries per token (packed rows, or a
-    dense window bucket); storing them as int64 wastes 7 bytes per entry
+    Viterbi backpointers hold ``K`` entries per token (one row per packed
+    row); storing them as int64 wastes 7 bytes per entry
     when the state space is tiny (the paper's workloads have K <= 45).
     uint8 covers K <= 256, uint16 covers K <= 65536; beyond that the int64
     of the reference implementation is kept.
@@ -215,7 +221,6 @@ class InferenceBackend(abc.ABC):
     ) -> np.ndarray:
         """Log marginal likelihood of every corpus sequence (1-D array)."""
 
-    @abc.abstractmethod
     def viterbi_long(
         self,
         startprob: np.ndarray,
@@ -228,7 +233,58 @@ class InferenceBackend(abc.ABC):
         log_startprob: np.ndarray | None = None,
         log_transmat: np.ndarray | None = None,
     ) -> LongDecodeResult:
-        """Chunked Viterbi over one long sequence (see :func:`chunked_viterbi`)."""
+        """Chunked Viterbi over one long sequence (see :func:`chunked_viterbi`).
+
+        Each group of ``group_size`` windows (default
+        :data:`LONG_GROUP_SIZE`) is decoded by :meth:`_viterbi_bucket`, the
+        one step the backends implement differently.
+        """
+        startprob = np.asarray(startprob, dtype=np.float64)
+        transmat = np.asarray(transmat, dtype=np.float64)
+        _check_params(startprob, transmat)
+        log_pi, log_AT = self._viterbi_log_params(
+            startprob, transmat, log_startprob, log_transmat
+        )
+        # log_AT.T is exactly log(A); the stitcher scores with it and hands
+        # its contiguous transpose, log_AT itself, to the window decode.
+        return chunked_viterbi(
+            log_pi,
+            log_AT.T,
+            source,
+            window=window,
+            overlap=overlap,
+            group_size=LONG_GROUP_SIZE if group_size is None else group_size,
+            decode_bucket=self._viterbi_bucket,
+        )
+
+    @abc.abstractmethod
+    def _viterbi_bucket(
+        self,
+        log_startprob: np.ndarray,
+        log_transmat_T: np.ndarray,
+        windows: np.ndarray,
+    ) -> list[tuple[np.ndarray, float]]:
+        """Viterbi decode of a group of equal-length windows.
+
+        ``windows`` is time-major, ``(L, G, K)``: ``windows[:, g]`` is
+        window ``g``.  ``log_transmat_T`` is ``log A^T``, contiguous.
+        Returns one ``(path, log_joint)`` per window, each exactly what
+        :func:`viterbi_decode_from_log` returns for that window alone.
+        """
+
+    @staticmethod
+    def _viterbi_log_params(
+        startprob: np.ndarray,
+        transmat: np.ndarray,
+        log_startprob: np.ndarray | None,
+        log_transmat: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(log pi, contiguous log A^T)`` for the log-domain Viterbi kernels."""
+        if log_startprob is None:
+            log_startprob = safe_log(np.asarray(startprob, dtype=np.float64))
+        if log_transmat is None:
+            log_transmat = safe_log(np.asarray(transmat, dtype=np.float64))
+        return log_startprob, np.ascontiguousarray(log_transmat.T)
 
 
 def _log_rows(
@@ -518,7 +574,10 @@ class ScaledBatchedBackend(InferenceBackend):
         results: list[tuple[np.ndarray, float]] = [None] * corpus.n_sequences
         if plan.n_rows:
             packed_paths, packed_joints = self._viterbi_packed(
-                log_pi, log_AT, plan, scores
+                log_pi,
+                log_AT,
+                plan.batch_sizes.tolist(),
+                np.take(scores, plan.rows, axis=0, mode="clip"),
             )
             paths = packed_paths[plan.inverse]
             joints = np.empty(corpus.n_sequences)
@@ -577,34 +636,45 @@ class ScaledBatchedBackend(InferenceBackend):
         self,
         log_startprob: np.ndarray,
         log_transmat_T: np.ndarray,
-        plan: PackedPlan,
-        scores: np.ndarray,
+        batch_sizes: list[int],
+        log_b: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused Viterbi over a packed corpus.
+        """Fused log-domain Viterbi over packed sequences.
 
-        The step of :meth:`_viterbi_bucket` — broadcast add against the
-        contiguous ``log A^T``, argmax, flat gather of the winners, add of
-        the observation rows — runs on the *active prefix*: the sequences
-        alive at step ``t`` are the first ``n_t`` ranks, and their
-        observation rows one contiguous block of the packed table.  Every
-        elementary operation matches :func:`viterbi_decode_from_log`, so
-        paths and joint log-probabilities are bit-identical to the
-        reference, ties included.  Backpointers are packed like the
-        observations (step 0's rows stay unused), in the smallest dtype that
-        indexes the state space.
+        ``log_b`` holds the observation rows in packed time-major order
+        (:class:`~repro.hmm.corpus.PackedPlan`): step ``t`` is
+        ``batch_sizes[t]`` rows, those of the sequences still running,
+        which are always the leading ranks.  Unlike forward-backward, the
+        recursion has no ``logsumexp``, only max, so it runs in the log
+        domain with no ``exp``, no normalization and no underflow fallback.
+        A step adds the active prefix of the message against the
+        pre-transposed *contiguous* ``log A^T``
+        (``scores[r, j, i] = delta[r, i] + log A[i, j]``), takes the argmax
+        over the contiguous last axis, gathers the winning scores through
+        flat offsets instead of a second max pass, and adds the observation
+        rows, all into preallocated buffers.  Every elementary operation
+        matches :func:`viterbi_decode_from_log`, so paths and joint
+        log-probabilities are bit-identical to the reference, ties
+        included.  Backpointers are packed like the observations (step 0's
+        rows stay unused), in the smallest dtype that indexes the state
+        space.
+
+        The ``(rows, K, K)`` step buffer holds one
+        :data:`_VITERBI_TILE_BYTES` tile of rows at most (64 rows at
+        K = 45: a default-size serving batch or a full long-sequence window
+        group).  A step whose active prefix is larger runs tile by tile;
+        once the prefix fits, each step runs on views of the whole prefix
+        that change only when a sequence ends.
 
         Returns the packed path (one state per packed row) and each rank's
         joint log-probability.
         """
-        sizes = plan.batch_sizes.tolist()
-        offsets = plan.step_offsets.tolist()
-        n_seq = sizes[0]
+        offsets = list(accumulate(batch_sizes, initial=0))
+        n_seq = batch_sizes[0]
         n_states = log_transmat_T.shape[0]
-        log_b = np.take(scores, plan.rows, axis=0, mode="clip")
-
         delta = log_startprob[None, :] + log_b[:n_seq]
         backpointers = np.empty(
-            (plan.n_rows, n_states), dtype=viterbi_backpointer_dtype(n_states)
+            (offsets[-1], n_states), dtype=viterbi_backpointer_dtype(n_states)
         )
         self.last_backpointer_dtype = backpointers.dtype
         self.last_backpointer_shape = backpointers.shape
@@ -616,23 +686,43 @@ class ScaledBatchedBackend(InferenceBackend):
         best = np.empty(width * n_states)
         gather_idx = np.empty(width * n_states, dtype=np.intp)
         flat_offsets = np.arange(width * n_states, dtype=np.intp) * n_states
-        for t in range(1, len(sizes)):  # repro: loop-ok[inherent time recursion]
-            lo = offsets[t]
-            for r0 in range(0, sizes[t], width):  # repro: loop-ok[row tiles of one step]
-                r1 = min(r0 + width, sizes[t])
-                flat = (r1 - r0) * n_states
-                sub_scores = step_scores[: r1 - r0]
-                sub_arg = arg[: r1 - r0]
-                np.add(delta[r0:r1, None, :], log_transmat_T[None, :, :], out=sub_scores)
-                sub_scores.argmax(axis=2, out=sub_arg)
-                np.add(flat_offsets[:flat], sub_arg.reshape(-1), out=gather_idx[:flat])
-                np.take(sub_scores.reshape(-1), gather_idx[:flat], out=best[:flat])
-                np.add(
-                    best[:flat].reshape(r1 - r0, n_states),
-                    log_b[lo + r0 : lo + r1],
-                    out=delta[r0:r1],
-                )
-                backpointers[lo + r0 : lo + r1] = sub_arg
+        trans = log_transmat_T[None, :, :]
+        rows = 0  # the active prefix the views below cover
+        for t in range(1, len(batch_sizes)):  # repro: loop-ok[inherent time recursion]
+            n, lo = batch_sizes[t], offsets[t]
+            if n > width:
+                for r0 in range(0, n, width):  # repro: loop-ok[row tiles of one step]
+                    r1 = min(r0 + width, n)
+                    flat = (r1 - r0) * n_states
+                    tile_scores = step_scores[: r1 - r0]
+                    tile_arg = arg[: r1 - r0]
+                    np.add(delta[r0:r1, None, :], trans, out=tile_scores)
+                    tile_scores.argmax(axis=2, out=tile_arg)
+                    np.add(flat_offsets[:flat], tile_arg.reshape(-1), out=gather_idx[:flat])
+                    np.take(tile_scores.reshape(-1), gather_idx[:flat], out=best[:flat])
+                    np.add(
+                        best[:flat].reshape(r1 - r0, n_states),
+                        log_b[lo + r0 : lo + r1],
+                        out=delta[r0:r1],
+                    )
+                    backpointers[lo + r0 : lo + r1] = tile_arg
+                continue
+            if n != rows:
+                # On a small prefix slicing costs about as much as the
+                # step's arithmetic, so views change only when it shrinks.
+                rows, flat = n, n * n_states
+                sub_delta, sub_scores, sub_arg = delta[:n], step_scores[:n], arg[:n]
+                sub_gather, sub_best = gather_idx[:flat], best[:flat]
+                sub_offsets = flat_offsets[:flat]
+                delta_3d = sub_delta[:, None, :]
+                flat_scores, flat_arg = sub_scores.reshape(-1), sub_arg.reshape(-1)
+                best_rows = sub_best.reshape(n, n_states)
+            np.add(delta_3d, trans, out=sub_scores)
+            sub_scores.argmax(axis=2, out=sub_arg)
+            np.add(sub_offsets, flat_arg, out=sub_gather)
+            np.take(flat_scores, sub_gather, out=sub_best)
+            np.add(best_rows, log_b[lo : lo + n], out=sub_delta)
+            backpointers[lo : lo + n] = sub_arg
 
         state = delta.argmax(axis=1)
         log_joint = delta[np.arange(n_seq), state]
@@ -640,136 +730,41 @@ class ScaledBatchedBackend(InferenceBackend):
         # Backtrack.  ``state`` holds each rank's state at the current step;
         # a rank whose sequence ends at step t keeps its final state until
         # then, because only the prefix still running past t is updated.
-        paths = np.empty(plan.n_rows, dtype=np.int64)
+        paths = np.empty(offsets[-1], dtype=np.int64)
         flat_bp = backpointers.reshape(-1)
         rank_offsets = np.arange(n_seq, dtype=np.intp) * n_states
-        last = len(sizes) - 1
-        paths[offsets[last] :] = state[: sizes[last]]
+        last = len(batch_sizes) - 1
+        paths[offsets[last] :] = state[: batch_sizes[last]]
+        rows = 0
         for t in range(last - 1, -1, -1):  # repro: loop-ok[inherent backtrack recursion]
-            m = sizes[t + 1]
-            base = offsets[t + 1] * n_states
-            state[:m] = flat_bp[rank_offsets[:m] + state[:m] + base]
-            paths[offsets[t] : offsets[t] + sizes[t]] = state[: sizes[t]]
+            if batch_sizes[t + 1] != rows:
+                rows = batch_sizes[t + 1]
+                running, running_offsets = state[:rows], rank_offsets[:rows]
+            running[...] = flat_bp[running_offsets + running + offsets[t + 1] * n_states]
+            paths[offsets[t] : offsets[t + 1]] = state[: batch_sizes[t]]
         return paths, log_joint
 
     def _viterbi_bucket(  # repro: hot-path
         self,
         log_startprob: np.ndarray,
         log_transmat_T: np.ndarray,
-        log_b: np.ndarray,
+        windows: np.ndarray,
     ) -> list[tuple[np.ndarray, float]]:
-        """Fused batched Viterbi over a ``(B, L, K)`` bucket of equal-length windows.
+        """A window group through :meth:`_viterbi_packed`.
 
-        Unlike forward-backward, the Viterbi recursion contains no
-        ``logsumexp`` — only max — so it vectorizes in the log domain at
-        full speed, with no ``exp`` of the observations, no per-step
-        normalization and no underflow fallback.  Every elementary float
-        operation matches :func:`viterbi_decode_from_log` exactly, so
-        decoded paths and joint log-probabilities are *bit-identical* to
-        the log-domain reference, tie-breaking included.
-
-        The fused inner step is three vectorized ops against preallocated,
-        reused buffers: one broadcast add of the ``(B, K)`` message against
-        the pre-transposed *contiguous* transition table
-        (``scores[b, j, i] = delta[b, i] + log A[i, j]``), one argmax over
-        the contiguous last axis, and one flat gather of the winning scores
-        through the argmax (instead of a second full max reduction), folded
-        into the observation add.  Backpointers are stored time-major in
-        the smallest integer dtype that can index the state space.  Every
-        row of the bucket is one window of the same length (the
-        long-sequence decoder's window groups), so every step updates the
-        whole batch.
-
-        Returns one ``(path, log_joint)`` per bucket row; the paths are
-        rows of one ``(B, L)`` array.
+        G windows of one length are a packed plan whose every step holds
+        all G rows, and the time-major ``(L, G, K)`` group is already in
+        that plan's packed order, so the kernel reads it in place.  The
+        paths are the columns of one ``(L, G)`` array.
         """
-        batch, length, n_states = log_b.shape
-        delta = log_startprob[None, :] + log_b[:, 0]
-        backpointers = np.empty(
-            (length, batch * n_states), dtype=viterbi_backpointer_dtype(n_states)
+        length, n_windows, n_states = windows.shape
+        paths, log_joint = self._viterbi_packed(
+            log_startprob,
+            log_transmat_T,
+            [n_windows] * length,
+            windows.reshape(-1, n_states),
         )
-        self.last_backpointer_dtype = backpointers.dtype
-        scores = np.empty((batch, n_states, n_states))
-        flat_scores = scores.reshape(-1)
-        arg = np.empty((batch, n_states), dtype=np.intp)
-        flat_arg = arg.reshape(-1)
-        best = np.empty(batch * n_states)
-        gather_idx = np.empty(batch * n_states, dtype=np.intp)
-        flat_offsets = np.arange(batch * n_states, dtype=np.intp) * n_states
-        for t in range(1, length):  # repro: loop-ok[inherent time recursion]
-            np.add(delta[:, None, :], log_transmat_T[None, :, :], out=scores)
-            scores.argmax(axis=2, out=arg)
-            np.add(flat_offsets, flat_arg, out=gather_idx)
-            np.take(flat_scores, gather_idx, out=best)
-            np.add(best.reshape(batch, n_states), log_b[:, t], out=delta)
-            backpointers[t] = flat_arg
-
-        state = delta.argmax(axis=1)
-        log_joint = delta[np.arange(batch), state]
-        paths = np.empty((batch, length), dtype=np.int64)
-        paths[:, -1] = state
-        row_offsets = np.arange(batch, dtype=np.intp) * n_states
-        for t in range(length - 1, 0, -1):  # repro: loop-ok[inherent backtrack recursion]
-            state = backpointers[t][row_offsets + state]
-            paths[:, t - 1] = state
-        return list(zip(paths, log_joint.tolist()))
-
-    def _viterbi_log_params(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_startprob: np.ndarray | None,
-        log_transmat: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(log pi, contiguous log A^T)`` for the log-domain Viterbi kernel."""
-        if log_startprob is None:
-            log_startprob = safe_log(np.asarray(startprob, dtype=np.float64))
-        if log_transmat is None:
-            log_transmat = safe_log(np.asarray(transmat, dtype=np.float64))
-        return log_startprob, np.ascontiguousarray(log_transmat.T)
-
-    def viterbi_long(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        source,
-        *,
-        window: int,
-        overlap: int,
-        group_size: int | None = None,
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
-    ) -> LongDecodeResult:
-        """Chunked Viterbi feeding window groups straight to the fused kernel.
-
-        Each group of windows becomes one ``(G, window, K)`` bucket decoded
-        by :meth:`_viterbi_bucket` — no per-window repack, and no length
-        bookkeeping (all windows have equal length).  ``group_size``
-        defaults to :data:`LONG_GROUP_SIZE`.
-        """
-        startprob = np.asarray(startprob, dtype=np.float64)
-        transmat = np.asarray(transmat, dtype=np.float64)
-        _check_params(startprob, transmat)
-        log_pi, log_AT = self._viterbi_log_params(
-            startprob, transmat, log_startprob, log_transmat
-        )
-        if group_size is None:
-            group_size = LONG_GROUP_SIZE
-
-        def decode_bucket(start_log, windows):
-            return self._viterbi_bucket(start_log, log_AT, windows)
-
-        # log_AT.T is exactly log(A) (the kernel keeps the transpose
-        # contiguous); reuse it for stitch scoring instead of re-deriving.
-        return chunked_viterbi(
-            log_pi,
-            log_AT.T,
-            source,
-            window=window,
-            overlap=overlap,
-            group_size=group_size,
-            decode_bucket=decode_bucket,
-        )
+        return list(zip(paths.reshape(length, n_windows).T, log_joint.tolist()))
 
 
 class LogDomainBackend(InferenceBackend):
@@ -839,42 +834,18 @@ class LogDomainBackend(InferenceBackend):
             [float(logsumexp(log_forward(log_pi, log_A, table)[-1])) for table in tables]
         )
 
-    def viterbi_long(
+    def _viterbi_bucket(
         self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        source,
-        *,
-        window: int,
-        overlap: int,
-        group_size: int | None = None,
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
-    ) -> LongDecodeResult:
-        """Chunked Viterbi decoding each window with the reference recursion."""
-        startprob = np.asarray(startprob, dtype=np.float64)
-        transmat = np.asarray(transmat, dtype=np.float64)
-        _check_params(startprob, transmat)
-        if log_startprob is None:
-            log_startprob = safe_log(startprob)
-        if log_transmat is None:
-            log_transmat = safe_log(transmat)
-
-        def decode_bucket(start_log, windows):
-            return [
-                viterbi_decode_from_log(start_log, log_transmat, window)
-                for window in windows
-            ]
-
-        return chunked_viterbi(
-            log_startprob,
-            log_transmat,
-            source,
-            window=window,
-            overlap=overlap,
-            group_size=LONG_GROUP_SIZE if group_size is None else group_size,
-            decode_bucket=decode_bucket,
-        )
+        log_startprob: np.ndarray,
+        log_transmat_T: np.ndarray,
+        windows: np.ndarray,
+    ) -> list[tuple[np.ndarray, float]]:
+        """Each window of the group decoded alone by the reference recursion."""
+        log_transmat = log_transmat_T.T
+        return [
+            viterbi_decode_from_log(log_startprob, log_transmat, windows[:, g])
+            for g in range(windows.shape[1])
+        ]
 
 
 # ------------------------------------------------------------------ #
@@ -1186,7 +1157,7 @@ def build_backend(name: str) -> InferenceBackend:
     try:
         cls = _BACKENDS[name]
     except KeyError:
-        raise ValueError(
+        raise ValidationError(
             f"unknown inference backend {name!r}; available: {available_backends()}"
         ) from None
     return cls()

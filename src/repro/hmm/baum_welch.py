@@ -23,7 +23,6 @@ from repro.hmm.transition_updaters import (
     MaximumLikelihoodTransitionUpdater,
     TransitionUpdater,
 )
-from repro.utils.maths import normalize_rows
 
 
 @dataclass
@@ -65,9 +64,6 @@ class BaumWelchTrainer:
     max_iter, tol:
         EM stopping criteria (iteration cap and minimum improvement of the
         MAP objective, log-likelihood plus the updater's log prior).
-    update_startprob, update_emissions, update_transitions:
-        Flags allowing individual parameter blocks to be frozen, used by
-        ablation experiments and by supervised fine-tuning.
     warn_on_no_convergence:
         Emit a :class:`~repro.exceptions.ConvergenceWarning` if EM stops
         because the iteration budget ran out.
@@ -82,9 +78,6 @@ class BaumWelchTrainer:
         transition_updater: TransitionUpdater | None = None,
         max_iter: int = 50,
         tol: float = 1e-4,
-        update_startprob: bool = True,
-        update_emissions: bool = True,
-        update_transitions: bool = True,
         warn_on_no_convergence: bool = False,
         engine: InferenceEngine | None = None,
     ) -> None:
@@ -95,25 +88,17 @@ class BaumWelchTrainer:
         self.transition_updater = transition_updater or MaximumLikelihoodTransitionUpdater()
         self.max_iter = max_iter
         self.tol = tol
-        self.update_startprob = update_startprob
-        self.update_emissions = update_emissions
-        self.update_transitions = update_transitions
         self.warn_on_no_convergence = warn_on_no_convergence
         self.engine = engine
 
     # ------------------------------------------------------------------ #
     def _m_step(self, model: HMM, corpus: CompiledCorpus, stats: CorpusPosteriors) -> None:
         """Update ``pi``, ``A`` and the emissions in place from stacked statistics."""
-        if self.update_startprob:
-            total = stats.start_counts.sum()
-            if total > 0:
-                model.startprob = stats.start_counts / total
-        if self.update_transitions:
-            model.transmat = self.transition_updater.update(stats.xi_sum, model.transmat)
-        else:
-            model.transmat = normalize_rows(model.transmat)
-        if self.update_emissions:
-            model.emissions.m_step_compiled(corpus, stats.gamma_concat)
+        total = stats.start_counts.sum()
+        if total > 0:
+            model.startprob = stats.start_counts / total
+        model.transmat = self.transition_updater.update(stats.xi_sum, model.transmat)
+        model.emissions.m_step_compiled(corpus, stats.gamma_concat)
 
     def fit(
         self, model: HMM, sequences: Sequence[np.ndarray] | CompiledCorpus

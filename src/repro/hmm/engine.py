@@ -216,9 +216,12 @@ class InferenceEngine:
         source (:func:`repro.hmm.longseq.as_source`); knobs default to
         ``InferenceConfig.decode_window`` / ``decode_overlap`` resolved at
         call time, and ``group_size`` to
-        :data:`~repro.hmm.backends.LONG_GROUP_SIZE`.  Peak working memory is
-        ``O(group_size * window * K)`` regardless of T; the result carries
-        stitch diagnostics (see :class:`~repro.hmm.longseq.LongDecodeResult`).
+        :data:`~repro.hmm.backends.LONG_GROUP_SIZE`.  Each group of windows
+        is decoded at once: by the packed Viterbi kernel on the scaled
+        backend, window by window by the reference recursion on ``log``.
+        Peak working memory is ``O(group_size * window * K)`` regardless of
+        T; the result carries stitch diagnostics (see
+        :class:`~repro.hmm.longseq.LongDecodeResult`).
         """
         window, overlap = self._long_knobs(window, overlap)
         p = self._cached(startprob, transmat)

@@ -10,8 +10,8 @@ Python-loop overhead per timestep.  This module provides the genome-scale
 counterparts:
 
 * :func:`chunked_viterbi` — split the sequence into overlapping windows of
-  ``decode_window`` tokens, decode a whole *group* of windows batched as
-  one bucket through the fused log-domain Viterbi kernel (turning the
+  ``decode_window`` tokens, decode a whole *group* of windows batched
+  through the backend's fused log-domain Viterbi kernel (turning the
   serial O(T) recursion into B-way data parallelism over windows), then
   stitch adjacent windows' paths at a high-confidence agreement run inside
   the overlap.  Window 0 starts from the true ``log pi``; later windows
@@ -193,9 +193,10 @@ class LongDecodeResult:
         ``(T,)`` int64 stitched state path.
     log_joint:
         Exact joint log-probability ``log P(path, Y)`` of the *stitched*
-        path (computed by streaming re-scoring, so it is meaningful even
-        for fallback stitches; on agreement stitches it matches the full
-        Viterbi optimum).
+        path, computed by streaming re-scoring, so it is exact for the path
+        returned, fallback stitches included.  It equals the full Viterbi
+        optimum only when the overlap exceeds the model's mixing lag; an
+        agreement stitch alone does not guarantee it.
     n_windows:
         Number of decode windows (1 means the sequence fit one window and
         the decode was the ordinary exact kernel).
@@ -204,8 +205,8 @@ class LongDecodeResult:
         fell back to the posterior-argmax tiebreak.  Their sum is
         ``n_windows - 1``.
     max_windows_resident:
-        Largest number of windows materialized simultaneously (the padded
-        decode group) — the deterministic memory-ceiling introspection the
+        Largest number of windows materialized simultaneously (one decode
+        group) — the deterministic memory-ceiling introspection the
         long-sequence benchmark gates on.
     window / overlap:
         The effective knobs used for this decode.
@@ -305,7 +306,7 @@ def chunked_viterbi(  # repro: hot-path
     window: int,
     overlap: int,
     group_size: int,
-    decode_bucket: Callable[[np.ndarray, np.ndarray], Iterable],
+    decode_bucket: Callable[[np.ndarray, np.ndarray, np.ndarray], Iterable],
 ) -> LongDecodeResult:
     """Chunked long-sequence Viterbi: batched windows, stitched overlaps.
 
@@ -318,16 +319,18 @@ def chunked_viterbi(  # repro: hot-path
     window / overlap:
         Window plan knobs (see :func:`plan_windows`).
     group_size:
-        Windows decoded together as one bucket; the peak working tensor is
-        ``(group_size, window, K)`` — the memory ceiling.
+        Windows decoded together as one group; the peak working tensor is
+        ``(window, group_size, K)`` — the memory ceiling.
     decode_bucket:
-        ``decode_bucket(log_startprob, log_b)`` returning one
-        ``(path, log_joint)`` per row of the ``(G, window, K)`` bucket
-        ``log_b`` — the backend's fused Viterbi kernel.  The windows of a
-        group all have the same length.  The true ``log pi`` is folded
-        into window 0's first emission row, so a zero (uniform) start
-        vector is passed for every window; adding 0.0 is exact, keeping
-        the single-window case bit-identical to the unchunked kernel.
+        ``decode_bucket(log_startprob, log_transmat_T, windows)`` returning
+        one ``(path, log_joint)`` per window of the group — the backend's
+        window-group Viterbi decode.  ``windows`` is time-major,
+        ``(window, G, K)``, with ``windows[:, g]`` window ``g`` (all
+        windows of a group have the same length), and ``log_transmat_T``
+        is ``log A^T``, contiguous.  The true ``log pi`` is folded into
+        window 0's first emission row, so a zero (uniform) start vector is
+        passed for every window; adding 0.0 is exact, keeping the
+        single-window case bit-identical to the unchunked kernel.
     """
     if group_size < 1:
         raise ValidationError(f"group_size must be at least 1, got {group_size}")
@@ -339,6 +342,7 @@ def chunked_viterbi(  # repro: hot-path
 
     path = np.empty(length, dtype=np.int64)
     zero_start = np.zeros(n_states)
+    log_transmat_T = np.ascontiguousarray(log_transmat.T)
     n_agreement = 0
     n_fallback = 0
     max_resident = 0
@@ -353,13 +357,14 @@ def chunked_viterbi(  # repro: hot-path
         span_stop = spans[g1 - 1][1]
         block = source.fetch(span_start, span_stop)
         wlen = spans[g0][1] - spans[g0][0]
-        windows = np.empty((g1 - g0, wlen, n_states))
-        for g in range(g0, g1):  # repro: loop-ok[window views into the bucket]
+        # Time-major, so equal-length windows are already in packed order.
+        windows = np.empty((wlen, g1 - g0, n_states))
+        for g in range(g0, g1):  # repro: loop-ok[window copies into the group]
             s, e = spans[g]
-            windows[g - g0] = block[s - span_start : e - span_start]
+            windows[:, g - g0] = block[s - span_start : e - span_start]
         if g0 == 0:
             windows[0, 0] += log_startprob
-        decoded = decode_bucket(zero_start, windows)
+        decoded = decode_bucket(zero_start, log_transmat_T, windows)
         max_resident = max(max_resident, g1 - g0)
 
         for g, (window_path, window_lj) in zip(range(g0, g1), decoded):  # repro: loop-ok[stitch bookkeeping per window]

@@ -74,11 +74,9 @@ from repro.serving.persistence import (
     MODEL_TYPES,
     SCHEMA_VERSION,
     load_artifact,
-    load_model,
     read_manifest,
     resolve_hmm,
     save_artifact,
-    save_model,
     verify_checksums,
 )
 from repro.serving.registry import ModelRegistry
@@ -107,8 +105,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "save_artifact",
     "load_artifact",
-    "save_model",
-    "load_model",
     "read_manifest",
     "resolve_hmm",
     "verify_checksums",

@@ -361,14 +361,3 @@ def load_artifact(path: str | Path, mmap: bool = False) -> Any:
     cls = MODEL_TYPES[manifest["model_type"]]
     return cls.from_state_dict(state)
 
-
-def save_model(
-    model: Any, path: str | Path, metadata: dict | None = None
-) -> Path:
-    """Alias of :func:`save_artifact` (symmetric with :func:`load_model`)."""
-    return save_artifact(model, path, metadata=metadata)
-
-
-def load_model(path: str | Path, mmap: bool = False) -> Any:
-    """Alias of :func:`load_artifact`."""
-    return load_artifact(path, mmap=mmap)

@@ -1,10 +1,9 @@
-"""Unit tests for DPP / k-DPP sampling and greedy MAP inference."""
+"""Unit tests for DPP / k-DPP sampling."""
 
 import numpy as np
 import pytest
 
 from repro.dpp.kdpp import KDPP
-from repro.dpp.map_inference import greedy_map_dpp
 from repro.dpp.sampler import sample_dpp, sample_kdpp
 from repro.exceptions import ValidationError
 
@@ -82,26 +81,3 @@ class TestSampleKdpp:
             expected = np.exp(kdpp.log_probability(list(subset)))
             assert abs(count / n_draws - expected) < 0.08
 
-
-class TestGreedyMapDpp:
-    def test_prefers_diverse_items(self):
-        L = near_duplicate_kernel()
-        selected = greedy_map_dpp(L, max_size=3)
-        # It should never pick both near-duplicates 0 and 1.
-        assert not {0, 1} <= set(selected)
-
-    def test_respects_max_size(self):
-        L = near_duplicate_kernel()
-        assert len(greedy_map_dpp(L, max_size=1)) == 1
-
-    def test_returns_sorted_indices(self):
-        L = near_duplicate_kernel()
-        selected = greedy_map_dpp(L)
-        assert selected == sorted(selected)
-
-    def test_empty_when_max_size_zero(self):
-        assert greedy_map_dpp(near_duplicate_kernel(), max_size=0) == []
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValidationError):
-            greedy_map_dpp(np.ones((2, 3)))

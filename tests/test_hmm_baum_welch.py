@@ -80,19 +80,6 @@ class TestBaumWelchTrainer:
         assert abs(learned[0] - 0.0) < 2.0
         assert abs(learned[1] - 50.0) < 2.0
 
-    def test_frozen_blocks_are_not_updated(self):
-        truth = make_ground_truth_categorical()
-        _, observations = truth.sample_dataset(10, 8, seed=6)
-        model = HMM.random_init(CategoricalEmission.random_init(2, 3, seed=7), seed=7)
-        original_transmat = model.transmat.copy()
-        original_start = model.startprob.copy()
-        trainer = BaumWelchTrainer(
-            max_iter=3, update_transitions=False, update_startprob=False
-        )
-        trainer.fit(model, observations)
-        assert np.allclose(model.transmat, original_transmat)
-        assert np.allclose(model.startprob, original_start)
-
     def test_convergence_flag_set_for_tight_model(self):
         truth = make_ground_truth_categorical()
         _, observations = truth.sample_dataset(20, 10, seed=8)

@@ -17,7 +17,7 @@ from repro.core.config import (
     inference_backend,
     set_inference_config,
 )
-from repro.exceptions import DimensionMismatchError, ValidationError
+from repro.exceptions import DimensionMismatchError, ReproError, ValidationError
 from repro.hmm import (
     HMM,
     BaumWelchTrainer,
@@ -302,6 +302,14 @@ class TestEngineConfiguration:
             InferenceConfig(decode_window=4096, long_threshold=1024)
         with pytest.raises(ValueError):
             build_backend("nope")
+
+    def test_unknown_backend_is_a_repro_error(self):
+        # Both entry points that take a backend name reject an unknown one
+        # with the library's own error, so one ``except ReproError`` sees it.
+        with pytest.raises(ReproError):
+            InferenceEngine(backend="nope")
+        with pytest.raises(ReproError):
+            InferenceConfig(backend="nope")
 
     def test_available_backends(self):
         assert set(available_backends()) == {"scaled", "log"}

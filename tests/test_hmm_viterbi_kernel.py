@@ -14,13 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.hmm.backends as backends
 from repro.exceptions import ValidationError
 from repro.hmm import (
     CategoricalEmission,
     InferenceEngine,
+    ScaledBatchedBackend,
     viterbi_backpointer_dtype,
 )
-from repro.hmm.viterbi import viterbi_decode
+from repro.hmm.viterbi import viterbi_decode, viterbi_decode_from_log
+from repro.utils.maths import safe_log
 
 
 def _engines():
@@ -99,12 +102,71 @@ class TestViterbiTieBreaking:
         windows = rng.normal(-2.0, 1.5, size=(5, 9, k))
         backend = InferenceEngine(backend="scaled").backend
         log_pi, log_AT = backend._viterbi_log_params(startprob, transmat, None, None)
-        got = backend._viterbi_bucket(log_pi, log_AT, windows)
+        got = backend._viterbi_bucket(log_pi, log_AT, windows.transpose(1, 0, 2))
         assert len(got) == windows.shape[0]
         assert got[0][0].base is got[1][0].base is not None
         assert backend.last_backpointer_dtype == np.uint8
         for (g_path, g_lj), window in zip(got, windows):
             w_path, w_lj = viterbi_decode(startprob, transmat, window)
+            np.testing.assert_array_equal(g_path, w_path)
+            assert g_lj == w_lj
+
+
+#: Rows per tile of the packed kernel's step buffer: every active row in
+#: one tile (the lean step), half of them (two tiles), or one row per tile.
+TILINGS = ("lean", "two", "one")
+
+#: Ragged corpora, equal-length window groups, single sequences.
+SHAPES = st.one_of(
+    st.tuples(st.just("ragged"), st.lists(st.integers(1, 25), min_size=1, max_size=12)),
+    st.tuples(
+        st.just("group"),
+        st.tuples(st.integers(1, 20), st.integers(1, 12)).map(lambda p: [p[0]] * p[1]),
+    ),
+    st.tuples(st.just("single"), st.integers(1, 40).map(lambda n: [n])),
+)
+
+
+class TestOneKernel:
+    """The packed kernel decodes corpora, requests and window groups alike."""
+
+    @given(
+        shape=SHAPES,
+        n_states=st.integers(1, 8),
+        ties=st.booleans(),
+        tiling=st.sampled_from(TILINGS),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_tiling_matches_the_reference(self, shape, n_states, ties, tiling, seed):
+        kind, lengths = shape
+        rng = np.random.default_rng(seed)
+        if ties:
+            # Uniform model and two-valued emissions: every step ties.
+            startprob = np.full(n_states, 1.0 / n_states)
+            transmat = np.full((n_states, n_states), 1.0 / n_states)
+            tables = [rng.choice([-1.0, -2.0], size=(n, n_states)) for n in lengths]
+        else:
+            startprob = rng.dirichlet(np.ones(n_states))
+            transmat = rng.dirichlet(np.full(n_states, 0.5), size=n_states)
+            tables = [rng.normal(-3.0, 2.0, size=(n, n_states)) for n in lengths]
+        log_pi, log_A = safe_log(startprob), safe_log(transmat)
+        want = [viterbi_decode_from_log(log_pi, log_A, table) for table in tables]
+
+        rows = {"lean": len(lengths), "two": -(-len(lengths) // 2), "one": 1}[tiling]
+        backend = ScaledBatchedBackend()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backends, "_VITERBI_TILE_BYTES", 8 * n_states * n_states * rows)
+            if kind == "group":
+                got = backend._viterbi_bucket(
+                    log_pi, np.ascontiguousarray(log_A.T), np.stack(tables, axis=1)
+                )
+            else:
+                got = InferenceEngine(backend=backend).viterbi_batch(
+                    startprob, transmat, tables
+                )
+        assert len(got) == len(want)
+        for (g_path, g_lj), (w_path, w_lj) in zip(got, want):
             np.testing.assert_array_equal(g_path, w_path)
             assert g_lj == w_lj
 
