@@ -21,55 +21,42 @@ Quickstart
 >>> labels = model.predict(data.observations)
 """
 
-from repro.core import (
-    DHMMConfig,
-    DiversifiedHMM,
-    DiversityTransitionUpdater,
-    DPPTransitionPrior,
-    SupervisedDiversifiedHMM,
-)
-from repro.exceptions import (
-    ConvergenceWarning,
-    NotFittedError,
-    ReproError,
-    ValidationError,
-)
-from repro.hmm import (
-    HMM,
-    BaumWelchTrainer,
-    BernoulliEmission,
-    CategoricalEmission,
-    GaussianEmission,
-)
-from repro.serving import (
-    ModelRegistry,
-    StreamingDecoder,
-    TaggingService,
-    load_artifact,
-    save_artifact,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DHMMConfig",
-    "DiversifiedHMM",
-    "SupervisedDiversifiedHMM",
-    "DPPTransitionPrior",
-    "DiversityTransitionUpdater",
-    "HMM",
-    "BaumWelchTrainer",
-    "GaussianEmission",
-    "CategoricalEmission",
-    "BernoulliEmission",
-    "ModelRegistry",
-    "TaggingService",
-    "StreamingDecoder",
-    "save_artifact",
-    "load_artifact",
-    "ReproError",
-    "ValidationError",
-    "NotFittedError",
-    "ConvergenceWarning",
-    "__version__",
-]
+# Resolved on first access, so ``import repro.serving.cli`` loads no
+# training code (the DPP prior, scipy, the optimizers).
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core": [
+            "DHMMConfig",
+            "DiversifiedHMM",
+            "SupervisedDiversifiedHMM",
+            "DPPTransitionPrior",
+            "DiversityTransitionUpdater",
+        ],
+        "repro.hmm": [
+            "HMM",
+            "BaumWelchTrainer",
+            "GaussianEmission",
+            "CategoricalEmission",
+            "BernoulliEmission",
+        ],
+        "repro.serving": [
+            "ModelRegistry",
+            "TaggingService",
+            "StreamingDecoder",
+            "save_artifact",
+            "load_artifact",
+        ],
+        "repro.exceptions": [
+            "ReproError",
+            "ValidationError",
+            "NotFittedError",
+            "ConvergenceWarning",
+        ],
+    },
+)
+__all__ += ["__version__"]

@@ -14,51 +14,38 @@ Two halves:
   observed during the test suites into a failure.
 
 This package intentionally imports nothing from the serving or hmm layers
-so that instrumentation (``lockorder``) stays import-cycle-free.
+so that instrumentation (``lockorder``) stays import-cycle-free, and its
+exports import on first access, so the serving layer's ``make_lock`` does
+not load the lint framework.
 """
 
-from repro.analysis.framework import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_USAGE,
-    Finding,
-    LintResult,
-    Rule,
-    all_rules,
-    lint_paths,
-    lint_sources,
-    render_json,
-    render_text,
-)
-from repro.analysis.lockorder import (
-    LockOrderError,
-    LockOrderTracker,
-    TrackedLock,
-    arm,
-    disarm,
-    get_tracker,
-    is_armed,
-    make_lock,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXIT_CLEAN",
-    "EXIT_FINDINGS",
-    "EXIT_USAGE",
-    "Finding",
-    "LintResult",
-    "LockOrderError",
-    "LockOrderTracker",
-    "Rule",
-    "TrackedLock",
-    "all_rules",
-    "arm",
-    "disarm",
-    "get_tracker",
-    "is_armed",
-    "lint_paths",
-    "lint_sources",
-    "make_lock",
-    "render_json",
-    "render_text",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.framework": [
+            "EXIT_CLEAN",
+            "EXIT_FINDINGS",
+            "EXIT_USAGE",
+            "Finding",
+            "LintResult",
+            "Rule",
+            "all_rules",
+            "lint_paths",
+            "lint_sources",
+            "render_json",
+            "render_text",
+        ],
+        "repro.analysis.lockorder": [
+            "LockOrderError",
+            "LockOrderTracker",
+            "TrackedLock",
+            "arm",
+            "disarm",
+            "get_tracker",
+            "is_armed",
+            "make_lock",
+        ],
+    },
+)

@@ -213,7 +213,7 @@ def all_rules() -> dict[str, Rule]:
     """The registered rules (id -> instance), loading the built-ins."""
     # Imported here (not at module top) to avoid a registration cycle:
     # the rule modules import this framework.
-    for name in ("concurrency", "errors", "hotpath", "hygiene"):
+    for name in ("concurrency", "errors", "hotpath", "hygiene", "layers"):
         import_module(f"repro.analysis.rules_{name}")
     return dict(_RULES)
 

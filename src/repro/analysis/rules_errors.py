@@ -6,8 +6,9 @@
     ``from repro.exceptions import ...`` bindings, plus classes defined in
     the module whose bases resolve to one), or the control-flow builtins
     (``NotImplementedError``, ``SystemExit``, ``KeyboardInterrupt``,
-    ``StopIteration``, ``StopAsyncIteration``).  Best-effort by design:
-    re-raises (``raise``) and dynamically constructed exceptions
+    ``StopIteration``, ``StopAsyncIteration``), or ``AttributeError`` from
+    a module-level ``__getattr__``, which PEP 562 requires.  Best-effort
+    by design: re-raises (``raise``) and dynamically constructed exceptions
     (``raise some_variable``/``raise factory()``) pass — the rule exists
     to stop *new literal* ``raise RuntimeError(...)``-style taxonomy leaks.
 
@@ -72,6 +73,13 @@ class TypedRaiseRule(Rule):
                 if name not in allowed and any(base in allowed for base in bases):
                     allowed.add(name)
                     changed = True
+        # PEP 562: a module's __getattr__ reports a missing name this way.
+        module_getattr = {
+            node
+            for definition in module.tree.body
+            if isinstance(definition, ast.FunctionDef) and definition.name == "__getattr__"
+            for node in ast.walk(definition)
+        }
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
@@ -86,6 +94,8 @@ class TypedRaiseRule(Rule):
                 if exc.id in local_bases or exc.id[:1].isupper():
                     name = exc.id
             if name is None or name in allowed:
+                continue
+            if name == "AttributeError" and node in module_getattr:
                 continue
             if name in local_bases or name.endswith(("Error", "Exception", "Warning")):
                 yield self.finding(

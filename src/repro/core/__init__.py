@@ -1,30 +1,26 @@
-"""The paper's primary contribution: diversity-regularized HMMs."""
+"""The paper's primary contribution: diversity-regularized HMMs.
 
-from repro.core.config import (
-    DHMMConfig,
-    InferenceConfig,
-    ServingConfig,
-    get_inference_config,
-    get_serving_config,
-    inference_backend,
-    set_inference_config,
-    set_serving_config,
+Exports import on first access, so a process that only serves (and reads
+``repro.core.config``) never loads the estimators or the DPP prior.
+"""
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": [
+            "DHMMConfig",
+            "InferenceConfig",
+            "ServingConfig",
+            "get_inference_config",
+            "set_inference_config",
+            "get_serving_config",
+            "set_serving_config",
+            "inference_backend",
+        ],
+        "repro.core.transition_prior": ["DPPTransitionPrior", "DiversityTransitionUpdater"],
+        "repro.core.diversified_hmm": ["DiversifiedHMM"],
+        "repro.core.supervised": ["SupervisedDiversifiedHMM"],
+    },
 )
-from repro.core.transition_prior import DPPTransitionPrior, DiversityTransitionUpdater
-from repro.core.diversified_hmm import DiversifiedHMM
-from repro.core.supervised import SupervisedDiversifiedHMM
-
-__all__ = [
-    "DHMMConfig",
-    "InferenceConfig",
-    "ServingConfig",
-    "get_inference_config",
-    "set_inference_config",
-    "get_serving_config",
-    "set_serving_config",
-    "inference_backend",
-    "DPPTransitionPrior",
-    "DiversityTransitionUpdater",
-    "DiversifiedHMM",
-    "SupervisedDiversifiedHMM",
-]

@@ -18,7 +18,6 @@ step a true ascent direction for any ``rho > 0``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from repro.dpp.kernels import transition_kernel_matrix
 from repro.exceptions import ValidationError
@@ -60,7 +59,11 @@ def _log_det_from_factor(kind: str, factor) -> float:
 def _inverse_from_factor(kind: str, factor) -> np.ndarray:
     if kind == "cholesky":
         # Two triangular solves against the identity (cho_solve-style),
-        # reusing the factor instead of a fresh LU inside ``inv``.
+        # reusing the factor instead of a fresh LU inside ``inv``.  scipy
+        # is imported here, where training needs it, so a process that
+        # only serves never loads it.
+        from scipy.linalg import cho_solve
+
         identity = np.eye(factor.shape[0])
         return cho_solve((factor, True), identity)
     if kind == "eigh":
@@ -94,6 +97,8 @@ def psd_log_det_and_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[float, n
     kind, factor = _factorize_psd(np.asarray(matrix, dtype=np.float64))
     log_det = _log_det_from_factor(kind, factor)
     if kind == "cholesky":
+        from scipy.linalg import cho_solve
+
         return log_det, cho_solve((factor, True), rhs, check_finite=False)
     eigvals, eigvecs = factor
     return log_det, eigvecs @ ((eigvecs.T @ rhs) / eigvals[:, None])

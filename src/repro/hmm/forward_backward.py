@@ -65,6 +65,7 @@ def log_forward(
     log_startprob: np.ndarray, log_transmat: np.ndarray, log_obs: np.ndarray
 ) -> np.ndarray:
     """Forward messages ``log alpha[t, i] = log P(y_1..t, x_t = i)``."""
+    log_transmat = np.ascontiguousarray(log_transmat)
     _validate_inputs(log_transmat, log_obs, log_startprob=log_startprob)
     T, n_states = log_obs.shape
     log_alpha = np.full((T, n_states), -np.inf)
@@ -78,6 +79,7 @@ def log_forward(
 
 def log_backward(log_transmat: np.ndarray, log_obs: np.ndarray) -> np.ndarray:
     """Backward messages ``log beta[t, i] = log P(y_{t+1}..T | x_t = i)``."""
+    log_transmat = np.ascontiguousarray(log_transmat)
     _validate_inputs(log_transmat, log_obs)
     T, n_states = log_obs.shape
     log_beta = np.zeros((T, n_states))
@@ -124,7 +126,12 @@ def compute_posteriors_from_log(
     ``log(A)`` directly, so callers that decode many sequences (e.g. the
     inference engine's log-domain reference backend) can precompute the
     logs once instead of once per sequence.
+
+    Every entry point reads ``log_transmat`` in C order: numpy's sums round
+    by memory layout, so a transposed view of the same values would change
+    the last bits of the result.
     """
+    log_transmat = np.ascontiguousarray(log_transmat)
     log_alpha = log_forward(log_startprob, log_transmat, log_obs)
     log_beta = log_backward(log_transmat, log_obs)
     log_likelihood = float(logsumexp(log_alpha[-1]))

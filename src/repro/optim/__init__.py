@@ -6,7 +6,6 @@ from repro.optim.projected_gradient import (
     ProjectedGradientResult,
     maximize_rowwise_simplex,
 )
-from repro.optim.convergence import ConvergenceMonitor
 
 __all__ = [
     "project_to_simplex",
@@ -15,5 +14,4 @@ __all__ = [
     "AdaptiveStepController",
     "ProjectedGradientResult",
     "maximize_rowwise_simplex",
-    "ConvergenceMonitor",
 ]

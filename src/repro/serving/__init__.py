@@ -61,77 +61,50 @@ persistence evolve independently:
   :class:`~repro.exceptions.ArtifactCorruptError`).
 """
 
-from repro.serving import faults
-from repro.serving.client import ServingClient
-from repro.serving.cluster import ClusterServer, reuse_port_supported
-from repro.serving.observability import (
-    LatencyHistogram,
-    clean_trace_id,
-    new_trace_id,
-    render_prometheus,
-)
-from repro.serving.persistence import (
-    MODEL_TYPES,
-    SCHEMA_VERSION,
-    load_artifact,
-    read_manifest,
-    resolve_hmm,
-    save_artifact,
-    verify_checksums,
-)
-from repro.serving.registry import ModelRegistry
-from repro.serving.router import Router, WarmUpReport
-from repro.serving.scheduler import (
-    EDFPolicy,
-    FIFOPolicy,
-    MicroBatchScheduler,
-    SchedulingPolicy,
-    ServiceStats,
-    WeightedFairPolicy,
-)
-from repro.serving.service import TaggingService
-from repro.serving.streaming import (
-    PooledStream,
-    StreamingDecoder,
-    StreamPool,
-    StreamResult,
-    stream_decode,
-)
-from repro.serving.http import HTTPServingServer
-from repro.serving.streaming_service import ServiceStream, StreamingService
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MODEL_TYPES",
-    "SCHEMA_VERSION",
-    "save_artifact",
-    "load_artifact",
-    "read_manifest",
-    "resolve_hmm",
-    "verify_checksums",
-    "ModelRegistry",
-    "Router",
-    "WarmUpReport",
-    "TaggingService",
-    "ServiceStats",
-    "MicroBatchScheduler",
-    "SchedulingPolicy",
-    "FIFOPolicy",
-    "WeightedFairPolicy",
-    "EDFPolicy",
-    "StreamingDecoder",
-    "StreamPool",
-    "PooledStream",
-    "StreamResult",
-    "stream_decode",
-    "StreamingService",
-    "ServiceStream",
-    "HTTPServingServer",
-    "ClusterServer",
-    "reuse_port_supported",
-    "LatencyHistogram",
-    "new_trace_id",
-    "clean_trace_id",
-    "render_prometheus",
-    "ServingClient",
-    "faults",
-]
+# Each name imports its module on first access: a process pays only for
+# the layers it uses (a tagger loads no HTTP or cluster code).
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.serving": ["faults"],
+        "repro.serving.client": ["ServingClient"],
+        "repro.serving.cluster": ["ClusterServer", "reuse_port_supported"],
+        "repro.serving.http": ["HTTPServingServer"],
+        "repro.serving.observability": [
+            "LatencyHistogram",
+            "clean_trace_id",
+            "new_trace_id",
+            "render_prometheus",
+        ],
+        "repro.serving.persistence": [
+            "MODEL_TYPES",
+            "SCHEMA_VERSION",
+            "load_artifact",
+            "read_manifest",
+            "resolve_hmm",
+            "save_artifact",
+            "verify_checksums",
+        ],
+        "repro.serving.registry": ["ModelRegistry"],
+        "repro.serving.router": ["Router", "WarmUpReport"],
+        "repro.serving.scheduler": [
+            "EDFPolicy",
+            "FIFOPolicy",
+            "MicroBatchScheduler",
+            "SchedulingPolicy",
+            "ServiceStats",
+            "WeightedFairPolicy",
+        ],
+        "repro.serving.service": ["TaggingService"],
+        "repro.serving.streaming": [
+            "PooledStream",
+            "StreamingDecoder",
+            "StreamPool",
+            "StreamResult",
+            "stream_decode",
+        ],
+        "repro.serving.streaming_service": ["ServiceStream", "StreamingService"],
+    },
+)

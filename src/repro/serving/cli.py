@@ -65,11 +65,6 @@ from repro.core.config import (
     RetryPolicy,
     ServingConfig,
 )
-from repro.core.diversified_hmm import DiversifiedHMM
-from repro.core.supervised import SupervisedDiversifiedHMM
-from repro.datasets.ocr import N_PIXELS, generate_ocr_dataset
-from repro.datasets.pos import generate_wsj_like_corpus
-from repro.datasets.toy import generate_toy_dataset
 from repro.exceptions import ModelUnavailableError, QueueFullError, ReproError
 from repro.hmm.emissions.categorical import CategoricalEmission
 from repro.hmm.emissions.gaussian import GaussianEmission
@@ -88,6 +83,14 @@ def _log(message: str) -> None:
 # ------------------------------------------------------------------ #
 def _fit_model(args: argparse.Namespace):
     """Train the canonical model for the chosen dataset; returns (model, sequences, metadata)."""
+    # Only ``fit`` trains: the other commands never load the estimators,
+    # the DPP prior or the dataset generators.
+    from repro.core.diversified_hmm import DiversifiedHMM
+    from repro.core.supervised import SupervisedDiversifiedHMM
+    from repro.datasets.ocr import N_PIXELS, generate_ocr_dataset
+    from repro.datasets.pos import generate_wsj_like_corpus
+    from repro.datasets.toy import generate_toy_dataset
+
     config = DHMMConfig(alpha=args.alpha, max_em_iter=args.max_em_iter)
     if args.dataset == "toy":
         data = generate_toy_dataset(

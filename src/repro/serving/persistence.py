@@ -42,7 +42,9 @@ exactly when its manifest exists.
 Every model class that participates implements ``to_state_dict`` /
 ``from_state_dict``; the mapping between class and the ``model_type``
 string recorded in the manifest lives here, in :data:`MODEL_TYPES`, so the
-model layers stay unaware of the serving subsystem.
+model layers stay unaware of the serving subsystem.  It names each class
+by import path: loading an ``hmm`` artifact imports no estimator, DPP
+prior or scipy.
 """
 
 from __future__ import annotations
@@ -52,16 +54,12 @@ import json
 import os
 import sys
 import tempfile
+from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.baselines.hmm_classifier import SupervisedHMMClassifier
-from repro.baselines.naive_bayes import BernoulliNaiveBayes
-from repro.baselines.optimized_hmm import OptimizedHMMClassifier
-from repro.core.diversified_hmm import DiversifiedHMM
-from repro.core.supervised import SupervisedDiversifiedHMM
 from repro.exceptions import ArtifactCorruptError, ValidationError
 from repro.hmm.model import HMM
 
@@ -78,25 +76,34 @@ def _npy_name(index: int) -> str:
     """Payload filename of the ``index``-th array of a v3 artifact."""
     return f"arrays-{index:04d}.npy"
 
-#: ``model_type`` manifest string <-> persistable class.  Exact types only:
-#: ``OptimizedHMMClassifier`` subclasses ``SupervisedHMMClassifier`` but has
-#: its own entry (and extra state).
-MODEL_TYPES: dict[str, type] = {
-    "hmm": HMM,
-    "diversified_hmm": DiversifiedHMM,
-    "supervised_diversified_hmm": SupervisedDiversifiedHMM,
-    "supervised_hmm_classifier": SupervisedHMMClassifier,
-    "optimized_hmm_classifier": OptimizedHMMClassifier,
-    "bernoulli_naive_bayes": BernoulliNaiveBayes,
+#: ``model_type`` manifest string <-> ``"module:Class"`` of the persistable
+#: class.  A class is imported only when an artifact of its type is saved
+#: or loaded, so a server of plain HMMs never loads the training stack.
+#: Exact types only: ``OptimizedHMMClassifier`` subclasses
+#: ``SupervisedHMMClassifier`` but has its own entry (and extra state).
+MODEL_TYPES: dict[str, str] = {
+    "hmm": "repro.hmm.model:HMM",
+    "diversified_hmm": "repro.core.diversified_hmm:DiversifiedHMM",
+    "supervised_diversified_hmm": "repro.core.supervised:SupervisedDiversifiedHMM",
+    "supervised_hmm_classifier": "repro.baselines.hmm_classifier:SupervisedHMMClassifier",
+    "optimized_hmm_classifier": "repro.baselines.optimized_hmm:OptimizedHMMClassifier",
+    "bernoulli_naive_bayes": "repro.baselines.naive_bayes:BernoulliNaiveBayes",
 }
 
-_TYPE_NAMES = {cls: name for name, cls in MODEL_TYPES.items()}
+_TYPE_NAMES = {path: name for name, path in MODEL_TYPES.items()}
+
+
+def _model_class(model_type: str) -> type[Any]:
+    """The class of a manifest ``model_type``, imported on first use."""
+    module, _, name = MODEL_TYPES[model_type].partition(":")
+    return getattr(import_module(module), name)
 
 
 def model_type_name(model: Any) -> str:
     """The manifest ``model_type`` string for a persistable model instance."""
+    cls = type(model)
     try:
-        return _TYPE_NAMES[type(model)]
+        return _TYPE_NAMES[f"{cls.__module__}:{cls.__qualname__}"]
     except KeyError:
         raise ValidationError(
             f"{type(model).__name__} is not a persistable model type; "
@@ -358,6 +365,5 @@ def load_artifact(path: str | Path, mmap: bool = False) -> Any:
         with np.load(path / ARRAYS_NAME) as npz:
             arrays = {key: npz[key] for key in npz.files}
     state = _unflatten(manifest["state"], arrays)
-    cls = MODEL_TYPES[manifest["model_type"]]
-    return cls.from_state_dict(state)
+    return _model_class(manifest["model_type"]).from_state_dict(state)
 

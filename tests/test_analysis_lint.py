@@ -265,6 +265,22 @@ class TestTypedRaise:
         result = lint(TYPED, path="src/repro/hmm/mod.py")
         assert all(f.rule != "typed-raise" for f in result.findings)
 
+    def test_module_getattr_may_raise_attribute_error(self):
+        result = lint(
+            """
+            def __getattr__(name):
+                raise AttributeError(name)
+
+            class Lazy:
+                def __getattr__(self, name):
+                    raise AttributeError(name)
+            """,
+            path="src/repro/serving/__init__.py",
+        )
+        findings = [f for f in result.findings if f.rule == "typed-raise"]
+        # PEP 562 requires the module's AttributeError; the method's is a leak.
+        assert [f.line for f in findings] == [7]
+
 
 class TestBroadExcept:
     def test_bare_and_base_exception_flagged(self):
@@ -337,6 +353,64 @@ class TestHygiene:
             """
         )
         assert rules_hit(result) == ["unreachable-code"]
+
+
+# ------------------------------------------------------------------ #
+# import layering
+# ------------------------------------------------------------------ #
+TRAINING_IMPORTS = """
+    import numpy as np
+    import scipy.linalg
+    from repro.core.transition_prior import DPPTransitionPrior
+    from repro.dpp import log_det
+    from ..core import supervised
+
+    try:
+        from repro.datasets.pos import generate_wsj_like_corpus
+    except ImportError:
+        generate_wsj_like_corpus = None
+
+    __all__ = ["np", "scipy", "DPPTransitionPrior", "log_det", "supervised"]
+"""
+
+DEFERRED_IMPORTS = """
+    from typing import TYPE_CHECKING
+
+    import numpy as np
+    from repro.core.config import DHMMConfig
+    from repro.hmm.model import HMM
+
+    if TYPE_CHECKING:
+        from repro.core.diversified_hmm import DiversifiedHMM
+
+    def fit(config: DHMMConfig) -> "DiversifiedHMM":
+        from scipy.linalg import cho_solve
+        from repro.core.diversified_hmm import DiversifiedHMM
+        from repro.datasets.pos import generate_wsj_like_corpus
+
+        return DiversifiedHMM, cho_solve, generate_wsj_like_corpus, np, HMM
+"""
+
+
+def layer_findings(text, path):
+    return [f for f in lint(text, path=path).findings if f.rule == "import-layer"]
+
+
+class TestImportLayer:
+    def test_serving_module_importing_training_code_is_flagged(self):
+        findings = layer_findings(TRAINING_IMPORTS, "src/repro/serving/mod.py")
+        assert [f.line for f in findings] == [3, 4, 5, 6, 9]
+        assert "scipy" in findings[0].message
+        assert "repro.core.transition_prior" in findings[1].message
+        assert "repro.core.supervised" in findings[3].message
+
+    def test_scipy_is_flagged_outside_the_serving_layer_too(self):
+        findings = layer_findings(TRAINING_IMPORTS, "src/repro/dpp/mod.py")
+        assert [f.line for f in findings] == [3]
+
+    def test_function_scope_and_type_checking_imports_pass(self):
+        assert layer_findings(DEFERRED_IMPORTS, "src/repro/serving/cli.py") == []
+        assert layer_findings(DEFERRED_IMPORTS, "src/repro/core/__init__.py") == []
 
 
 # ------------------------------------------------------------------ #

@@ -12,6 +12,7 @@ import pytest
 from repro.exceptions import DimensionMismatchError
 from repro.hmm.forward_backward import (
     compute_posteriors,
+    compute_posteriors_from_log,
     log_backward,
     log_forward,
     sequence_log_likelihood,
@@ -116,3 +117,23 @@ class TestForwardBackward:
             log_forward(np.zeros(2), np.zeros((3, 3)), np.zeros((4, 2)))
         with pytest.raises(DimensionMismatchError):
             log_backward(np.zeros((3, 3)), np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("n_states", [2, 8, 16, 45])
+    def test_layout_of_log_transmat_does_not_change_the_bits(self, n_states):
+        # The long-sequence decoder passes log A as a transposed view (an
+        # F-ordered array); the reference must round exactly as for C order.
+        rng = np.random.default_rng(n_states)
+        for _ in range(20):
+            log_pi = np.log(rng.dirichlet(np.ones(n_states)))
+            log_A = np.log(rng.dirichlet(np.ones(n_states), size=n_states))
+            log_obs = rng.normal(size=(30, n_states))
+            fortran = np.asfortranarray(log_A)
+            c_order = compute_posteriors_from_log(log_pi, log_A, log_obs)
+            f_order = compute_posteriors_from_log(log_pi, fortran, log_obs)
+            assert np.array_equal(c_order.gamma, f_order.gamma)
+            assert np.array_equal(c_order.xi_sum, f_order.xi_sum)
+            assert c_order.log_likelihood == f_order.log_likelihood
+            assert np.array_equal(
+                log_forward(log_pi, log_A, log_obs), log_forward(log_pi, fortran, log_obs)
+            )
+            assert np.array_equal(log_backward(log_A, log_obs), log_backward(fortran, log_obs))
