@@ -42,6 +42,7 @@ import pytest
 from benchmarks.conftest import merge_results, print_header
 from repro.hmm import (
     CompiledCorpus,
+    ModelParams,
     ScaledBatchedBackend,
     checkpointed_posteriors,
     streaming_log_likelihood,
@@ -105,11 +106,11 @@ def _build_workload():
     return pi, transmat, table
 
 
-def _serial_viterbi(backend, pi, transmat, table):
+def _serial_viterbi(backend, params, table):
     """The whole table as one packed sequence: a directly built corpus has
     no long threshold, so nothing routes it through the chunked decoder."""
     corpus = CompiledCorpus([table])
-    return backend.viterbi_corpus(pi, transmat, corpus, table)[0]
+    return backend.viterbi_corpus(params, corpus, table)[0]
 
 
 _TINY = 1e-300
@@ -192,20 +193,21 @@ def _loop_posteriors(pi, transmat, table):
 
 def test_long_sequence_decode(benchmark):
     pi, transmat, table = _build_workload()
+    params = ModelParams(pi, transmat)
     backend = ScaledBatchedBackend()
 
     # Warm numpy/the kernel on a small prefix so first-call overheads do
     # not pollute the single-shot serial timing below.
-    backend.viterbi_long(pi, transmat, table[:20_000], window=_WINDOW, overlap=_OVERLAP)
-    _serial_viterbi(backend, pi, transmat, table[:20_000])
+    backend.viterbi_long(params, table[:20_000], window=_WINDOW, overlap=_OVERLAP)
+    _serial_viterbi(backend, params, table[:20_000])
 
     start = time.perf_counter()
-    serial_path, serial_lj = _serial_viterbi(backend, pi, transmat, table)
+    serial_path, serial_lj = _serial_viterbi(backend, params, table)
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     res = backend.viterbi_long(
-        pi, transmat, table, window=_WINDOW, overlap=_OVERLAP, group_size=_GROUP
+        params, table, window=_WINDOW, overlap=_OVERLAP, group_size=_GROUP
     )
     chunked_seconds = time.perf_counter() - start
     speedup = serial_seconds / chunked_seconds
@@ -228,7 +230,7 @@ def test_long_sequence_decode(benchmark):
     path_bytes = 8 * LONGSEQ_T
     tracemalloc.start()
     backend.viterbi_long(
-        pi, transmat, table, window=_WINDOW, overlap=_OVERLAP, group_size=_GROUP
+        params, table, window=_WINDOW, overlap=_OVERLAP, group_size=_GROUP
     )
     _, decode_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -241,7 +243,7 @@ def test_long_sequence_decode(benchmark):
     ll_t = LONGSEQ_T
     tracemalloc.start()
     start = time.perf_counter()
-    stream_ll = streaming_log_likelihood(pi, transmat, table[:ll_t])
+    stream_ll = streaming_log_likelihood(params, table[:ll_t])
     ll_seconds = time.perf_counter() - start
     _, ll_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -291,8 +293,7 @@ def test_long_sequence_decode(benchmark):
     )
     benchmark.pedantic(
         lambda: backend.viterbi_long(
-            pi,
-            transmat,
+            params,
             table[:100_000],
             window=_WINDOW,
             overlap=_OVERLAP,
@@ -318,10 +319,10 @@ def _paired_seconds(baseline, scan, repeats):
     return min(p[0] for p in pairs), min(p[1] for p in pairs)
 
 
-def _posterior_peak(pi, transmat, table):
+def _posterior_peak(params, table):
     """Traced peak of one posteriors call, and its gamma's size."""
     tracemalloc.start()
-    post = checkpointed_posteriors(pi, transmat, table)
+    post = checkpointed_posteriors(params, table)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return peak, post.gamma.nbytes
@@ -330,22 +331,23 @@ def _posterior_peak(pi, transmat, table):
 def test_long_sequence_smoothing(benchmark):
     rng = np.random.default_rng(11)
     pi, transmat, table = _build_workload()
+    params = ModelParams(pi, transmat)
     smooth_t = min(LONGSEQ_T, 200_000)
     head = table[:smooth_t]
 
     # Warm both sides on a short prefix first.
     _loop_log_likelihood(pi, transmat, head[:8192])
-    streaming_log_likelihood(pi, transmat, head[:8192])
-    checkpointed_posteriors(pi, transmat, head[:8192])
+    streaming_log_likelihood(params, head[:8192])
+    checkpointed_posteriors(params, head[:8192])
 
     # One run of each loop: they take seconds, and their results double as
     # a cross-check that the timing compares like with like.
     ll_loop, ll_ref = _timed(lambda: _loop_log_likelihood(pi, transmat, head))
-    ll_scan, ll_got = _timed(lambda: streaming_log_likelihood(pi, transmat, head))
+    ll_scan, ll_got = _timed(lambda: streaming_log_likelihood(params, head))
     post_loop, (gamma_ref, xi_ref, post_ll_ref) = _timed(
         lambda: _loop_posteriors(pi, transmat, head)
     )
-    post_scan, post = _timed(lambda: checkpointed_posteriors(pi, transmat, head))
+    post_scan, post = _timed(lambda: checkpointed_posteriors(params, head))
     ll_speedup = ll_loop / ll_scan
     post_speedup = post_loop / post_scan
     assert ll_got == pytest.approx(ll_ref, rel=1e-9)
@@ -356,6 +358,7 @@ def test_long_sequence_smoothing(benchmark):
     # Above the K crossover: one segment per block, the serial recursion.
     k_large, t_large = 45, 10_000
     pi_l, transmat_l = _sticky_model(rng, k_large)
+    params_l = ModelParams(pi_l, transmat_l)
     table_l = rng.normal(0.0, 2.0, size=(t_large, k_large))
     large = {}
     for name, loop_fn, scan_fn in (
@@ -364,7 +367,7 @@ def test_long_sequence_smoothing(benchmark):
     ):
         loop_s, scan_s = _paired_seconds(
             lambda: loop_fn(pi_l, transmat_l, table_l),
-            lambda: scan_fn(pi_l, transmat_l, table_l),
+            lambda: scan_fn(params_l, table_l),
             repeats=5,
         )
         large[name] = loop_s / scan_s
@@ -372,7 +375,7 @@ def test_long_sequence_smoothing(benchmark):
     # Working memory beyond the returned gamma is a few blocks, whatever T.
     peaks = {}
     for t in sorted({smooth_t, LONGSEQ_T}):
-        peak, gamma_bytes = _posterior_peak(pi, transmat, table[:t])
+        peak, gamma_bytes = _posterior_peak(params, table[:t])
         peaks[t] = {"peak_bytes": peak, "gamma_bytes": gamma_bytes}
         assert peak - gamma_bytes <= _STREAM_CEILING_BYTES
 
@@ -407,7 +410,7 @@ def test_long_sequence_smoothing(benchmark):
         long_loglik_speedup=ll_speedup, long_posteriors_speedup=post_speedup
     )
     benchmark.pedantic(
-        lambda: checkpointed_posteriors(pi, transmat, head), rounds=1, iterations=1
+        lambda: checkpointed_posteriors(params, head), rounds=1, iterations=1
     )
 
     assert ll_speedup >= MIN_LONG_SMOOTH_SPEEDUP

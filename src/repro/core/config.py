@@ -296,8 +296,7 @@ def set_serving_config(config: ServingConfig) -> ServingConfig:
 class RetryPolicy:
     """Client-side retry budget: exponential backoff, jitter, deadlines.
 
-    Used by the serving client helpers (``repro-serve route`` and the HTTP
-    :class:`~repro.serving.client.ServingClient`) to retry *transient*
+    Used by ``repro-serve route --retries`` to retry *transient*
     serving failures — queue-full backpressure
     (:class:`~repro.exceptions.QueueFullError`) and open circuit breakers
     (:class:`~repro.exceptions.ModelUnavailableError` / a 503 with

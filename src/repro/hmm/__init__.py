@@ -15,6 +15,7 @@ from repro.hmm.emissions import (
 from repro.hmm.backends import (
     InferenceBackend,
     LogDomainBackend,
+    ModelParams,
     ScaledBatchedBackend,
     StreamStep,
     available_backends,
@@ -64,6 +65,7 @@ __all__ = [
     "InferenceEngine",
     "ScaledBatchedBackend",
     "LogDomainBackend",
+    "ModelParams",
     "StreamStep",
     "available_backends",
     "build_backend",

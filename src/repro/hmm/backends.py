@@ -7,7 +7,9 @@ emissions (``forward_backward_corpus`` / ``viterbi_corpus`` /
 ``log_likelihood_corpus``).  ``viterbi_long``, the chunked decode of one
 long sequence, is written once on the base class; a backend supplies only
 its decode of one group of equal-length windows (``_viterbi_bucket``).
-The emissions are the ``(n_tokens, K)`` log-likelihood table or the
+The model parameters arrive as one :class:`ModelParams`: float64 ``pi``
+and ``A`` with their logs and transposes, each derived once.  The emissions
+are the ``(n_tokens, K)`` log-likelihood table or the
 :class:`~repro.hmm.emissions.base.EmissionModel` itself; the scaled
 forward-backward kernel asks a model for probability-domain weights in
 packed order, and every other kernel scores it into the table.  Two
@@ -61,6 +63,7 @@ from __future__ import annotations
 import abc
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -83,6 +86,7 @@ from repro.utils.maths import logsumexp, safe_log
 __all__ = [
     "InferenceBackend",
     "LONG_GROUP_SIZE",
+    "ModelParams",
     "ScaledBatchedBackend",
     "LogDomainBackend",
     "BatchedStreamingSession",
@@ -125,30 +129,87 @@ def viterbi_backpointer_dtype(n_states: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+class ModelParams:
+    """One model's ``(pi, A)`` and everything the kernels derive from them.
+
+    ``startprob`` and ``transmat`` are float64 copies, so a caller editing
+    its own arrays in place cannot change them.  The logs (under
+    :func:`~repro.utils.maths.safe_log`'s ``LOG_EPS`` clamp) and the
+    contiguous transposes are built on first use and kept: this class is
+    the one place the inference kernels take ``log pi`` / ``log A`` or
+    transpose ``A`` / ``log A``.  :class:`~repro.hmm.engine.InferenceEngine`
+    keeps one per parameter set; a test calling a backend or a
+    long-sequence scan directly builds its own.
+    """
+
+    def __init__(self, startprob: np.ndarray, transmat: np.ndarray) -> None:
+        self.startprob = np.array(startprob, dtype=np.float64)
+        self.transmat = np.array(transmat, dtype=np.float64)
+        if self.startprob.ndim != 1:
+            raise DimensionMismatchError(
+                f"start distribution must be 1-D, got shape {self.startprob.shape}"
+            )
+        n_states = self.n_states
+        if self.transmat.shape != (n_states, n_states):
+            raise DimensionMismatchError(
+                f"transition matrix shape {self.transmat.shape} does not match "
+                f"{n_states} states"
+            )
+
+    @property
+    def n_states(self) -> int:
+        return self.startprob.shape[0]
+
+    def matches(self, startprob: np.ndarray, transmat: np.ndarray) -> bool:
+        """Whether ``(startprob, transmat)`` still equal these parameters.
+
+        An ``O(K^2)`` comparison, negligible next to any inference call, so
+        in-place edits of a model's arrays are detected, not only rebinding.
+        """
+        return np.array_equal(startprob, self.startprob) and np.array_equal(
+            transmat, self.transmat
+        )
+
+    @cached_property
+    def log_startprob(self) -> np.ndarray:
+        return safe_log(self.startprob)
+
+    @cached_property
+    def log_transmat(self) -> np.ndarray:
+        return safe_log(self.transmat)
+
+    @cached_property
+    def log_transmat_T(self) -> np.ndarray:
+        """``log A^T``, contiguous: the Viterbi kernels' transition operand."""
+        return np.ascontiguousarray(self.log_transmat.T)
+
+    @cached_property
+    def transmat_T(self) -> np.ndarray:
+        """``A^T``, contiguous: the backward recursions' transition operand."""
+        return np.ascontiguousarray(self.transmat.T)
+
+
 class InferenceBackend(abc.ABC):
     """Strategy object performing HMM inference over a compiled corpus.
 
-    Every corpus method takes probability-domain parameters, a
+    Every corpus method takes the model's :class:`ModelParams`, a
     :class:`~repro.hmm.corpus.CompiledCorpus` and its emissions — the
     ``(n_tokens, K)`` emission log-likelihood table in concatenated token
     order (:meth:`CompiledCorpus.score`) or the
     :class:`~repro.hmm.emissions.base.EmissionModel` that scores it — and
-    returns per-sequence results in corpus order.  The caller (the engine)
-    caches derived parameters, handing ``log(pi)`` / ``log(A)`` over through
-    the ``log_startprob`` / ``log_transmat`` keywords.
+    returns per-sequence results in corpus order.
     """
 
     name: str = "abstract"
 
     @staticmethod
     def _check_corpus(
-        startprob: np.ndarray,
-        transmat: np.ndarray,
+        params: ModelParams,
         corpus: CompiledCorpus,
         emissions: np.ndarray | EmissionModel,
         keep_model: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | EmissionModel]:
-        """Float64 parameters and emissions, checked against each other.
+    ) -> np.ndarray | EmissionModel:
+        """The emissions as a float64 table, checked against the parameters.
 
         An emission model must cover the transition matrix's states; it is
         returned as is with ``keep_model``, and otherwise scored into its
@@ -157,10 +218,7 @@ class InferenceBackend(abc.ABC):
         sequences; insist on the ``(n_tokens, K)`` shape that
         :meth:`CompiledCorpus.score` produces.
         """
-        startprob = np.asarray(startprob, dtype=np.float64)
-        transmat = np.asarray(transmat, dtype=np.float64)
-        _check_params(startprob, transmat)
-        n_states = startprob.shape[0]
+        n_states = params.n_states
         if isinstance(emissions, EmissionModel):
             if emissions.n_states != n_states:
                 raise DimensionMismatchError(
@@ -168,7 +226,7 @@ class InferenceBackend(abc.ABC):
                     f"the transition matrix {n_states}"
                 )
             if keep_model:
-                return startprob, transmat, emissions
+                return emissions
             emissions = corpus.score(emissions)
         scores = np.asarray(emissions, dtype=np.float64)
         expected = (corpus.n_tokens, n_states)
@@ -177,17 +235,14 @@ class InferenceBackend(abc.ABC):
                 f"corpus score table must have shape {expected} "
                 f"(CompiledCorpus.score output), got {scores.shape}"
             )
-        return startprob, transmat, scores
+        return scores
 
     @abc.abstractmethod
     def forward_backward_corpus(
         self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
+        params: ModelParams,
         corpus: CompiledCorpus,
         emissions: np.ndarray | EmissionModel,
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
         sequence_xi: bool = False,
     ) -> CorpusPosteriors:
         """Stacked posterior statistics over a whole compiled corpus.
@@ -200,38 +255,29 @@ class InferenceBackend(abc.ABC):
     @abc.abstractmethod
     def viterbi_corpus(
         self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
+        params: ModelParams,
         corpus: CompiledCorpus,
         emissions: np.ndarray | EmissionModel,
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
     ) -> list[tuple[np.ndarray, float]]:
         """Most likely path and joint log-probability per corpus sequence."""
 
     @abc.abstractmethod
     def log_likelihood_corpus(
         self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
+        params: ModelParams,
         corpus: CompiledCorpus,
         emissions: np.ndarray | EmissionModel,
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
     ) -> np.ndarray:
         """Log marginal likelihood of every corpus sequence (1-D array)."""
 
     def viterbi_long(
         self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
+        params: ModelParams,
         source,
         *,
         window: int,
         overlap: int,
         group_size: int | None = None,
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
     ) -> LongDecodeResult:
         """Chunked Viterbi over one long sequence (see :func:`chunked_viterbi`).
 
@@ -239,17 +285,8 @@ class InferenceBackend(abc.ABC):
         :data:`LONG_GROUP_SIZE`) is decoded by :meth:`_viterbi_bucket`, the
         one step the backends implement differently.
         """
-        startprob = np.asarray(startprob, dtype=np.float64)
-        transmat = np.asarray(transmat, dtype=np.float64)
-        _check_params(startprob, transmat)
-        log_pi, log_AT = self._viterbi_log_params(
-            startprob, transmat, log_startprob, log_transmat
-        )
-        # log_AT.T is exactly log(A); the stitcher scores with it and hands
-        # its contiguous transpose, log_AT itself, to the window decode.
         return chunked_viterbi(
-            log_pi,
-            log_AT.T,
+            params,
             source,
             window=window,
             overlap=overlap,
@@ -272,20 +309,6 @@ class InferenceBackend(abc.ABC):
         :func:`viterbi_decode_from_log` returns for that window alone.
         """
 
-    @staticmethod
-    def _viterbi_log_params(
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_startprob: np.ndarray | None,
-        log_transmat: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(log pi, contiguous log A^T)`` for the log-domain Viterbi kernels."""
-        if log_startprob is None:
-            log_startprob = safe_log(np.asarray(startprob, dtype=np.float64))
-        if log_transmat is None:
-            log_transmat = safe_log(np.asarray(transmat, dtype=np.float64))
-        return log_startprob, np.ascontiguousarray(log_transmat.T)
-
 
 def _log_rows(
     emissions: np.ndarray | EmissionModel, corpus: CompiledCorpus, lo: int, hi: int
@@ -294,19 +317,6 @@ def _log_rows(
     if isinstance(emissions, EmissionModel):
         return emissions.log_likelihoods(corpus.concat[lo:hi])
     return emissions[lo:hi]
-
-
-def _check_params(startprob: np.ndarray, transmat: np.ndarray) -> None:
-    if startprob.ndim != 1:
-        raise DimensionMismatchError(
-            f"start distribution must be 1-D, got shape {startprob.shape}"
-        )
-    n_states = startprob.shape[0]
-    if transmat.shape != (n_states, n_states):
-        raise DimensionMismatchError(
-            f"transition matrix shape {transmat.shape} does not match "
-            f"{n_states} states"
-        )
 
 
 class ScaledBatchedBackend(InferenceBackend):
@@ -344,8 +354,7 @@ class ScaledBatchedBackend(InferenceBackend):
 
     @staticmethod
     def _forward_packed(  # repro: hot-path
-        startprob: np.ndarray,
-        transmat: np.ndarray,
+        params: ModelParams,
         plan: PackedPlan,
         obs: np.ndarray,
         alpha: np.ndarray,
@@ -363,8 +372,9 @@ class ScaledBatchedBackend(InferenceBackend):
         """
         sizes = plan.batch_sizes.tolist()
         offsets = plan.step_offsets.tolist()
-        propagated = np.empty((sizes[0], startprob.shape[0]))
-        np.multiply(startprob, obs[: sizes[0]], out=alpha[: sizes[0]])
+        transmat = params.transmat
+        propagated = np.empty((sizes[0], params.n_states))
+        np.multiply(params.startprob, obs[: sizes[0]], out=alpha[: sizes[0]])
         for t, n in enumerate(sizes):  # repro: loop-ok[inherent time recursion]
             lo = offsets[t]
             cur = alpha[lo : lo + n]
@@ -383,7 +393,7 @@ class ScaledBatchedBackend(InferenceBackend):
 
     @staticmethod
     def _backward_packed(  # repro: hot-path
-        transmat: np.ndarray,
+        params: ModelParams,
         plan: PackedPlan,
         obs: np.ndarray,
         alpha: np.ndarray,
@@ -401,8 +411,8 @@ class ScaledBatchedBackend(InferenceBackend):
         """
         sizes = plan.batch_sizes.tolist()
         offsets = plan.step_offsets.tolist()
-        n_states = transmat.shape[0]
-        transmat_T = np.ascontiguousarray(transmat.T)
+        n_states = params.n_states
+        transmat_T = params.transmat_T
         # Ranks past the active prefix have ended: their beta stays 1.
         beta = np.ones((sizes[0], n_states))
         weights = np.empty_like(beta)
@@ -431,8 +441,7 @@ class ScaledBatchedBackend(InferenceBackend):
 
     def _fb_packed(  # repro: hot-path
         self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
+        params: ModelParams,
         corpus: CompiledCorpus,
         plan: PackedPlan,
         emissions: np.ndarray | EmissionModel,
@@ -455,7 +464,7 @@ class ScaledBatchedBackend(InferenceBackend):
         in ``buffer`` (``(R, K)`` or larger), which holds nothing useful
         afterwards.
         """
-        n_states = startprob.shape[0]
+        n_states = params.n_states
         if isinstance(emissions, EmissionModel):
             obs, shift = emissions.scaled_likelihoods(
                 corpus.concat, plan.rows, buffer[: plan.n_rows]
@@ -464,13 +473,13 @@ class ScaledBatchedBackend(InferenceBackend):
             obs, shift = scaled_rows(emissions, plan.rows, buffer[: plan.n_rows])
         alpha = np.empty_like(obs)
         scale = np.empty(plan.n_rows)
-        self._forward_packed(startprob, transmat, plan, obs, alpha, scale)
+        self._forward_packed(params, plan, obs, alpha, scale)
         lls = self._packed_log_likelihoods(plan, scale, shift)
         xi_ranks = (
             np.zeros((plan.order.size, n_states, n_states)) if sequence_xi else None
         )
         norms = np.empty(plan.n_rows)
-        xi = self._backward_packed(transmat, plan, obs, alpha, scale, norms, xi_ranks)
+        xi = self._backward_packed(params, plan, obs, alpha, scale, norms, xi_ranks)
         usable = (scale >= _TINY) & (norms >= _TINY) & (norms < np.inf)
         failed = np.unique(plan.ranks[~usable]) if not usable.all() else usable[:0]
         return alpha, xi, xi_ranks, lls, failed
@@ -479,13 +488,10 @@ class ScaledBatchedBackend(InferenceBackend):
     # Compiled-corpus kernels (zero per-sequence Python on the hot path)
     # -------------------------------------------------------------- #
     def forward_backward_corpus(
-        self, startprob, transmat, corpus, emissions,
-        log_startprob=None, log_transmat=None, sequence_xi=False,
+        self, params, corpus, emissions, sequence_xi=False
     ) -> CorpusPosteriors:
-        startprob, transmat, emissions = self._check_corpus(
-            startprob, transmat, corpus, emissions, keep_model=True
-        )
-        n_states = startprob.shape[0]
+        emissions = self._check_corpus(params, corpus, emissions, keep_model=True)
+        n_states = params.n_states
         # The packed observation weights are built in gamma's buffer, and
         # the packed posteriors land in it once those weights are spent.
         gamma = np.empty((corpus.n_tokens, n_states))
@@ -503,7 +509,7 @@ class ScaledBatchedBackend(InferenceBackend):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while plan.n_rows:
                 packed, xi, xi_ranks, part_lls, failed = self._fb_packed(
-                    startprob, transmat, corpus, plan, emissions, gamma, sequence_xi
+                    params, corpus, plan, emissions, gamma, sequence_xi
                 )
                 if failed.size:
                     # Rare: drop the failed sequences and run the rest again,
@@ -517,31 +523,30 @@ class ScaledBatchedBackend(InferenceBackend):
                     continue
                 np.take(packed, plan.inverse, axis=0, out=gamma, mode="clip")
                 start_counts += packed[: plan.order.size].sum(axis=0)
-                xi_sum += transmat * xi
+                xi_sum += params.transmat * xi
                 lls[plan.order] = part_lls
                 if xi_seq is not None:
-                    xi_seq[plan.order] = transmat * xi_ranks
+                    xi_seq[plan.order] = params.transmat * xi_ranks
                 break
-            if repair:
-                log_pi, log_A = safe_log(startprob), safe_log(transmat)
-                for j in repair:
-                    lo, hi = corpus.offsets[j], corpus.offsets[j + 1]
-                    ref = compute_posteriors_from_log(
-                        log_pi, log_A, _log_rows(emissions, corpus, lo, hi)
-                    )
-                    gamma[lo:hi] = ref.gamma
-                    xi_sum += ref.xi_sum
-                    start_counts += ref.gamma[0]
-                    lls[j] = ref.log_likelihood
-                    if xi_seq is not None:
-                        xi_seq[j] = ref.xi_sum
+            for j in repair:
+                lo, hi = corpus.offsets[j], corpus.offsets[j + 1]
+                ref = compute_posteriors_from_log(
+                    params.log_startprob,
+                    params.log_transmat,
+                    _log_rows(emissions, corpus, lo, hi),
+                )
+                gamma[lo:hi] = ref.gamma
+                xi_sum += ref.xi_sum
+                start_counts += ref.gamma[0]
+                lls[j] = ref.log_likelihood
+                if xi_seq is not None:
+                    xi_seq[j] = ref.xi_sum
         for lw in corpus.long_windows:
             # Long sequences stay out of the packed plan: the block-wise
             # segment scan over the sequence's log rows keeps the working
             # set at a few blocks per sequence, whatever T is.
             r = checkpointed_posteriors(
-                startprob,
-                transmat,
+                params,
                 ArraySource(
                     _log_rows(emissions, corpus, lw.offset, lw.offset + lw.length)
                 ),
@@ -561,21 +566,15 @@ class ScaledBatchedBackend(InferenceBackend):
         )
 
     def viterbi_corpus(
-        self, startprob, transmat, corpus, emissions,
-        log_startprob=None, log_transmat=None,
+        self, params, corpus, emissions
     ) -> list[tuple[np.ndarray, float]]:
-        startprob, transmat, scores = self._check_corpus(
-            startprob, transmat, corpus, emissions
-        )
-        log_pi, log_AT = self._viterbi_log_params(
-            startprob, transmat, log_startprob, log_transmat
-        )
+        scores = self._check_corpus(params, corpus, emissions)
         plan = corpus.packed
         results: list[tuple[np.ndarray, float]] = [None] * corpus.n_sequences
         if plan.n_rows:
             packed_paths, packed_joints = self._viterbi_packed(
-                log_pi,
-                log_AT,
+                params.log_startprob,
+                params.log_transmat_T,
                 plan.batch_sizes.tolist(),
                 np.take(scores, plan.rows, axis=0, mode="clip"),
             )
@@ -587,48 +586,37 @@ class ScaledBatchedBackend(InferenceBackend):
             # Long sequences decode through the chunked stitcher instead of
             # adding T steps to the packed recursion.
             long_res = self.viterbi_long(
-                startprob,
-                transmat,
+                params,
                 ArraySource(scores[lw.offset : lw.offset + lw.length]),
                 window=lw.window,
                 overlap=lw.overlap,
-                log_startprob=log_startprob,
-                log_transmat=log_transmat,
             )
             results[lw.seq_index] = (long_res.path, long_res.log_joint)
         return results
 
-    def log_likelihood_corpus(
-        self, startprob, transmat, corpus, emissions,
-        log_startprob=None, log_transmat=None,
-    ) -> np.ndarray:
-        startprob, transmat, scores = self._check_corpus(
-            startprob, transmat, corpus, emissions
-        )
+    def log_likelihood_corpus(self, params, corpus, emissions) -> np.ndarray:
+        scores = self._check_corpus(params, corpus, emissions)
         lls = np.empty(corpus.n_sequences)
         plan = corpus.packed
         if plan.n_rows:
             obs, shift = scaled_rows(
-                scores, plan.rows, np.empty((plan.n_rows, startprob.shape[0]))
+                scores, plan.rows, np.empty((plan.n_rows, params.n_states))
             )
             scale = np.empty(plan.n_rows)
             # Only the likelihood is wanted: the messages overwrite the weights.
-            self._forward_packed(startprob, transmat, plan, obs, obs, scale)
+            self._forward_packed(params, plan, obs, obs, scale)
             lls[plan.order] = self._packed_log_likelihoods(plan, scale, shift)
-            vanished = plan.order[np.unique(plan.ranks[~(scale >= _TINY)])]
-            if vanished.size:
-                log_pi, log_A = safe_log(startprob), safe_log(transmat)
-                for j in vanished:
-                    log_alpha = log_forward(
-                        log_pi, log_A, scores[corpus.offsets[j] : corpus.offsets[j + 1]]
-                    )
-                    lls[j] = float(logsumexp(log_alpha[-1]))
+            for j in plan.order[np.unique(plan.ranks[~(scale >= _TINY)])]:
+                log_alpha = log_forward(
+                    params.log_startprob,
+                    params.log_transmat,
+                    scores[corpus.offsets[j] : corpus.offsets[j + 1]],
+                )
+                lls[j] = float(logsumexp(log_alpha[-1]))
         for lw in corpus.long_windows:
             # Forward-only segment scan: one block of memory per long sequence.
             lls[lw.seq_index] = streaming_log_likelihood(
-                startprob,
-                transmat,
-                ArraySource(scores[lw.offset : lw.offset + lw.length]),
+                params, ArraySource(scores[lw.offset : lw.offset + lw.length])
             )
         return lls
 
@@ -775,36 +763,21 @@ class LogDomainBackend(InferenceBackend):
     :func:`repro.hmm.viterbi.viterbi_decode_from_log` on each, exactly as
     calling them sequence by sequence would; long sequences are decoded
     whole, never chunked.  The only difference is that ``log(pi)`` /
-    ``log(A)`` are taken once per call (the engine caches them across
-    calls) instead of once per sequence.
+    ``log(A)`` come from :class:`ModelParams` (the engine keeps them across
+    calls) instead of being taken once per sequence.  An emission model
+    scores the concatenated corpus once.
     """
 
     name = "log"
 
-    def _prepare(
-        self, startprob, transmat, corpus, emissions, log_startprob, log_transmat
-    ):
-        """Checked ``(log pi, log A, per-sequence tables)`` for the loops below.
-
-        An emission model scores the concatenated corpus once.
-        """
-        startprob, transmat, scores = self._check_corpus(
-            startprob, transmat, corpus, emissions
-        )
-        if log_startprob is None:
-            log_startprob = safe_log(startprob)
-        if log_transmat is None:
-            log_transmat = safe_log(transmat)
-        return log_startprob, log_transmat, corpus.split(scores)
-
     def forward_backward_corpus(
-        self, startprob, transmat, corpus, emissions,
-        log_startprob=None, log_transmat=None, sequence_xi=False,
+        self, params, corpus, emissions, sequence_xi=False
     ) -> CorpusPosteriors:
-        log_pi, log_A, tables = self._prepare(
-            startprob, transmat, corpus, emissions, log_startprob, log_transmat
-        )
-        results = [compute_posteriors_from_log(log_pi, log_A, table) for table in tables]
+        tables = corpus.split(self._check_corpus(params, corpus, emissions))
+        results = [
+            compute_posteriors_from_log(params.log_startprob, params.log_transmat, table)
+            for table in tables
+        ]
         xi = np.array([r.xi_sum for r in results])
         return CorpusPosteriors(
             gamma_concat=np.concatenate([r.gamma for r in results]),
@@ -815,21 +788,17 @@ class LogDomainBackend(InferenceBackend):
         )
 
     def viterbi_corpus(
-        self, startprob, transmat, corpus, emissions,
-        log_startprob=None, log_transmat=None,
+        self, params, corpus, emissions
     ) -> list[tuple[np.ndarray, float]]:
-        log_pi, log_A, tables = self._prepare(
-            startprob, transmat, corpus, emissions, log_startprob, log_transmat
-        )
-        return [viterbi_decode_from_log(log_pi, log_A, table) for table in tables]
+        tables = corpus.split(self._check_corpus(params, corpus, emissions))
+        return [
+            viterbi_decode_from_log(params.log_startprob, params.log_transmat, table)
+            for table in tables
+        ]
 
-    def log_likelihood_corpus(
-        self, startprob, transmat, corpus, emissions,
-        log_startprob=None, log_transmat=None,
-    ) -> np.ndarray:
-        log_pi, log_A, tables = self._prepare(
-            startprob, transmat, corpus, emissions, log_startprob, log_transmat
-        )
+    def log_likelihood_corpus(self, params, corpus, emissions) -> np.ndarray:
+        tables = corpus.split(self._check_corpus(params, corpus, emissions))
+        log_pi, log_A = params.log_startprob, params.log_transmat
         return np.array(
             [float(logsumexp(log_forward(log_pi, log_A, table)[-1])) for table in tables]
         )

@@ -20,10 +20,11 @@ likelihood scoring.  It adds two things on top of the raw backends in
   categorical emissions a gather from ``B``) and no log table exists.  The
   ``*_batch`` methods taking a list of per-sequence emission tables are
   thin adapters that compile the tables as a corpus.
-* **Parameter caching** — derived parameters (``log(pi)``, ``log(A)`` and
-  float64 copies of ``pi`` / ``A``) are computed once and reused across
-  calls as long as the model parameters are unchanged, so repeated decodes
-  between EM iterations do not re-derive them per sequence.
+* **Parameter caching** — the engine keeps one
+  :class:`~repro.hmm.backends.ModelParams` (float64 copies of ``pi`` /
+  ``A``, their logs and transposes, each derived on first use) for as long
+  as the model parameters are unchanged, and hands it to every backend
+  kernel, so repeated calls between EM iterations re-derive nothing.
 
 Backend selection defaults to the process-wide
 :class:`repro.core.config.InferenceConfig` (see
@@ -42,6 +43,7 @@ import numpy as np
 from repro.hmm.backends import (
     BatchedStreamingSession,
     InferenceBackend,
+    ModelParams,
     build_backend,
 )
 from repro.hmm.corpus import CompiledCorpus, CorpusPosteriors
@@ -52,42 +54,6 @@ from repro.hmm.longseq import (
     checkpointed_posteriors,
     streaming_log_likelihood,
 )
-from repro.utils.maths import safe_log
-
-
-class _CachedParams:
-    """Float64 parameter views plus lazily derived logs, validity-checked.
-
-    The cache is validated with :func:`numpy.array_equal` against stored
-    copies — an ``O(K^2)`` comparison that is negligible next to any
-    inference call — so in-place mutation of the model parameters is
-    detected, not just rebinding.
-    """
-
-    __slots__ = ("startprob", "transmat", "_log_pi", "_log_A")
-
-    def __init__(self, startprob: np.ndarray, transmat: np.ndarray) -> None:
-        self.startprob = np.array(startprob, dtype=np.float64)
-        self.transmat = np.array(transmat, dtype=np.float64)
-        self._log_pi: np.ndarray | None = None
-        self._log_A: np.ndarray | None = None
-
-    def matches(self, startprob: np.ndarray, transmat: np.ndarray) -> bool:
-        return np.array_equal(startprob, self.startprob) and np.array_equal(
-            transmat, self.transmat
-        )
-
-    @property
-    def log_startprob(self) -> np.ndarray:
-        if self._log_pi is None:
-            self._log_pi = safe_log(self.startprob)
-        return self._log_pi
-
-    @property
-    def log_transmat(self) -> np.ndarray:
-        if self._log_A is None:
-            self._log_A = safe_log(self.transmat)
-        return self._log_A
 
 
 class InferenceEngine:
@@ -113,7 +79,7 @@ class InferenceEngine:
 
                 backend = get_inference_config().backend
             self.backend = build_backend(backend)
-        self._params: _CachedParams | None = None
+        self._params: ModelParams | None = None
 
     @property
     def backend_name(self) -> str:
@@ -121,11 +87,10 @@ class InferenceEngine:
         return self.backend.name
 
     # -------------------------------------------------------------- #
-    def _cached(self, startprob: np.ndarray, transmat: np.ndarray) -> _CachedParams:
+    def _cached(self, startprob: np.ndarray, transmat: np.ndarray) -> ModelParams:
         params = self._params
         if params is None or not params.matches(startprob, transmat):
-            params = _CachedParams(startprob, transmat)
-            self._params = params
+            params = self._params = ModelParams(startprob, transmat)
         return params
 
     # -------------------------------------------------------------- #
@@ -224,16 +189,12 @@ class InferenceEngine:
         :class:`~repro.hmm.longseq.LongDecodeResult`).
         """
         window, overlap = self._long_knobs(window, overlap)
-        p = self._cached(startprob, transmat)
         return self.backend.viterbi_long(
-            p.startprob,
-            p.transmat,
+            self._cached(startprob, transmat),
             source,
             window=window,
             overlap=overlap,
             group_size=group_size,
-            log_startprob=p.log_startprob,
-            log_transmat=p.log_transmat,
         )
 
     def posteriors_long(
@@ -253,9 +214,8 @@ class InferenceEngine:
         forward message that vanishes is repaired with the log-domain
         reference.
         """
-        p = self._cached(startprob, transmat)
         return checkpointed_posteriors(
-            p.startprob, p.transmat, source, checkpoint=checkpoint
+            self._cached(startprob, transmat), source, checkpoint=checkpoint
         )
 
     def log_likelihood_long(
@@ -271,8 +231,7 @@ class InferenceEngine:
         block whatever T is; a vanished message restarts the sweep in the
         log domain.
         """
-        p = self._cached(startprob, transmat)
-        return streaming_log_likelihood(p.startprob, p.transmat, source)
+        return streaming_log_likelihood(self._cached(startprob, transmat), source)
 
     # -------------------------------------------------------------- #
     # Compiled-corpus entry points
@@ -300,20 +259,6 @@ class InferenceEngine:
             decode_overlap=cfg.decode_overlap,
         )
 
-    def _dispatch_corpus(
-        self, method_name, startprob, transmat, corpus, emissions, **kwargs
-    ):
-        p = self._cached(startprob, transmat)
-        return getattr(self.backend, method_name)(
-            p.startprob,
-            p.transmat,
-            corpus,
-            emissions,
-            log_startprob=p.log_startprob,
-            log_transmat=p.log_transmat,
-            **kwargs,
-        )
-
     def posteriors_corpus(
         self,
         startprob: np.ndarray,
@@ -334,8 +279,8 @@ class InferenceEngine:
         so an EM iteration runs with zero per-sequence Python.  The ``log``
         reference scores a model into its table once.
         """
-        return self._dispatch_corpus(
-            "forward_backward_corpus", startprob, transmat, corpus, emissions
+        return self.backend.forward_backward_corpus(
+            self._cached(startprob, transmat), corpus, emissions
         )
 
     def sequence_posteriors_corpus(
@@ -350,9 +295,8 @@ class InferenceEngine:
         The same kernels as :meth:`posteriors_corpus`, but each result
         carries the sequence's own ``xi_sum``, which training never needs.
         """
-        stats = self._dispatch_corpus(
-            "forward_backward_corpus", startprob, transmat, corpus, emissions,
-            sequence_xi=True,
+        stats = self.backend.forward_backward_corpus(
+            self._cached(startprob, transmat), corpus, emissions, sequence_xi=True
         )
         return [
             SequencePosteriors(gamma=gamma, xi_sum=xi_sum, log_likelihood=float(ll))
@@ -369,8 +313,8 @@ class InferenceEngine:
         emissions: np.ndarray | EmissionModel,
     ) -> list[tuple[np.ndarray, float]]:
         """Viterbi path and joint log-probability per corpus sequence."""
-        return self._dispatch_corpus(
-            "viterbi_corpus", startprob, transmat, corpus, emissions
+        return self.backend.viterbi_corpus(
+            self._cached(startprob, transmat), corpus, emissions
         )
 
     def log_likelihood_corpus(
@@ -381,8 +325,8 @@ class InferenceEngine:
         emissions: np.ndarray | EmissionModel,
     ) -> np.ndarray:
         """Log marginal likelihood of every corpus sequence (1-D array)."""
-        return self._dispatch_corpus(
-            "log_likelihood_corpus", startprob, transmat, corpus, emissions
+        return self.backend.log_likelihood_corpus(
+            self._cached(startprob, transmat), corpus, emissions
         )
 
     # -------------------------------------------------------------- #

@@ -45,16 +45,19 @@ counterparts:
   forward message that vanishes in the probability domain, or a posterior
   row that is not finite, is repaired with the log-domain reference.
 
-Observations are consumed through a *source* (:class:`ArraySource` over a
-precomputed table, or :class:`EmissionSource` scoring raw observations on
-demand), so peak memory is bounded by the window/block size — independent
-of T — whenever the caller avoids materializing the full emission table.
+Each entry point takes the model as a
+:class:`~repro.hmm.backends.ModelParams`, which holds ``pi``, ``A``, their
+logs and their transposes.  Observations are consumed through a *source*
+(:class:`ArraySource` over a precomputed table, or :class:`EmissionSource`
+scoring raw observations on demand), so peak memory is bounded by the
+window/block size — independent of T — whenever the caller avoids
+materializing the full emission table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -64,7 +67,10 @@ from repro.hmm.forward_backward import (
     compute_posteriors_from_log,
     log_forward,
 )
-from repro.utils.maths import logsumexp, safe_log
+from repro.utils.maths import logsumexp
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hmm.backends import ModelParams
 
 __all__ = [
     "ArraySource",
@@ -299,8 +305,7 @@ def score_path(  # repro: hot-path
 
 
 def chunked_viterbi(  # repro: hot-path
-    log_startprob: np.ndarray,
-    log_transmat: np.ndarray,
+    params: ModelParams,
     source,
     *,
     window: int,
@@ -312,8 +317,8 @@ def chunked_viterbi(  # repro: hot-path
 
     Parameters
     ----------
-    log_startprob / log_transmat:
-        Log-domain model parameters.
+    params:
+        The model; the decode reads its logs and ``log A^T``.
     source:
         Block source of emission log-likelihood rows (see :func:`as_source`).
     window / overlap:
@@ -342,7 +347,7 @@ def chunked_viterbi(  # repro: hot-path
 
     path = np.empty(length, dtype=np.int64)
     zero_start = np.zeros(n_states)
-    log_transmat_T = np.ascontiguousarray(log_transmat.T)
+    log_startprob, log_transmat = params.log_startprob, params.log_transmat
     n_agreement = 0
     n_fallback = 0
     max_resident = 0
@@ -364,7 +369,7 @@ def chunked_viterbi(  # repro: hot-path
             windows[:, g - g0] = block[s - span_start : e - span_start]
         if g0 == 0:
             windows[0, 0] += log_startprob
-        decoded = decode_bucket(zero_start, log_transmat_T, windows)
+        decoded = decode_bucket(zero_start, params.log_transmat_T, windows)
         max_resident = max(max_resident, g1 - g0)
 
         for g, (window_path, window_lj) in zip(range(g0, g1), decoded):  # repro: loop-ok[stitch bookkeeping per window]
@@ -622,8 +627,7 @@ class _BlockScan:
 
 
 def _scan_block(  # repro: hot-path
-    startprob: np.ndarray,
-    transmat: np.ndarray,
+    params: ModelParams,
     msg: np.ndarray | None,
     log_b: np.ndarray,
 ) -> _BlockScan | None:
@@ -632,14 +636,15 @@ def _scan_block(  # repro: hot-path
     One segment, or products that lost the message, run the serial
     recursion instead.  ``msg`` is the forward message before the block,
     or None for the block at t = 0, whose first row starts from
-    ``startprob`` and is left out of the scanned transition rows.  None
+    ``pi`` and is left out of the scanned transition rows.  None
     when a forward message vanished (sums to zero in the probability
     domain); the caller then recomputes with the log-domain reference.
     """
+    transmat = params.transmat
     obs, shift = _obs_weights(log_b)
     log_likelihood = float(shift.sum())
     if msg is None:
-        raw = startprob * obs[0]
+        raw = params.startprob * obs[0]
         total = raw.sum()
         if not total >= _TINY:
             return None
@@ -671,8 +676,7 @@ def _serial_block(  # repro: hot-path
 
 def _smooth_block(  # repro: hot-path
     scan: _BlockScan,
-    transmat: np.ndarray,
-    transmat_T: np.ndarray,
+    params: ModelParams,
     beta_last: np.ndarray,
     gamma: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -686,6 +690,7 @@ def _smooth_block(  # repro: hot-path
     or a posterior row is not finite (a backward message overflowed).
     """
     obs = scan.obs
+    transmat, transmat_T = params.transmat, params.transmat_T
     if obs.shape[0] == 0:
         return np.zeros_like(transmat), beta_last
     if scan.prod is None:
@@ -711,25 +716,21 @@ def _smooth_block(  # repro: hot-path
     return xi_sum, beta[0] @ transmat_T
 
 
-def _reference_posteriors(
-    startprob: np.ndarray, transmat: np.ndarray, source
-) -> SequencePosteriors:
+def _reference_posteriors(params: ModelParams, source) -> SequencePosteriors:
     """The log-domain reference over the whole sequence (vanished-message repair)."""
     return compute_posteriors_from_log(
-        safe_log(startprob), safe_log(transmat), source.fetch(0, source.length)
+        params.log_startprob, params.log_transmat, source.fetch(0, source.length)
     )
 
 
-def _reference_log_likelihood(
-    startprob: np.ndarray, transmat: np.ndarray, source, block: int
-) -> float:
+def _reference_log_likelihood(params: ModelParams, source, block: int) -> float:
     """The log-domain forward recursion streamed block by block.
 
     Each block starts from the previous block's last message propagated one
     step, so the sweep equals :func:`log_forward` over the whole sequence
     with one block of memory.
     """
-    log_pi, log_A = safe_log(startprob), safe_log(transmat)
+    log_pi, log_A = params.log_startprob, params.log_transmat
     length = source.length
     last = log_pi
     for b0 in range(0, length, block):  # repro: loop-ok[streamed block sweep]
@@ -747,8 +748,7 @@ def _check_block(name: str, block: int | None, n_states: int) -> int:
 
 
 def _forward_sweep(  # repro: hot-path
-    startprob: np.ndarray,
-    transmat: np.ndarray,
+    params: ModelParams,
     source,
     block: int,
     carries: list[np.ndarray | None] | None = None,
@@ -766,9 +766,7 @@ def _forward_sweep(  # repro: hot-path
     for b0 in range(0, length, block):  # repro: loop-ok[streamed block sweep]
         if carries is not None:
             carries.append(msg)
-        scan = _scan_block(
-            startprob, transmat, msg, source.fetch(b0, min(b0 + block, length))
-        )
+        scan = _scan_block(params, msg, source.fetch(b0, min(b0 + block, length)))
         if scan is None:
             return None
         msg = scan.carry
@@ -778,8 +776,7 @@ def _forward_sweep(  # repro: hot-path
 
 
 def checkpointed_posteriors(  # repro: hot-path
-    startprob: np.ndarray,
-    transmat: np.ndarray,
+    params: ModelParams,
     source,
     checkpoint: int | None = None,
 ) -> SequencePosteriors:
@@ -799,17 +796,14 @@ def checkpointed_posteriors(  # repro: hot-path
     source = as_source(source)
     length = source.length
     n_states = source.n_states
-    startprob = np.asarray(startprob, dtype=np.float64)
-    transmat = np.asarray(transmat, dtype=np.float64)
     checkpoint = _check_block("checkpoint", checkpoint, n_states)
-    transmat_T = np.ascontiguousarray(transmat.T)
     block_starts = list(range(0, length, checkpoint))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         carries: list[np.ndarray | None] = []
-        swept = _forward_sweep(startprob, transmat, source, checkpoint, carries)
+        swept = _forward_sweep(params, source, checkpoint, carries)
         if swept is None:
-            return _reference_posteriors(startprob, transmat, source)
+            return _reference_posteriors(params, source)
         # The backward sweep starts with the last block's scan from the
         # forward sweep, and refetches and rescans every earlier block.
         scan: _BlockScan | None = swept[0]
@@ -820,18 +814,18 @@ def checkpointed_posteriors(  # repro: hot-path
             b0 = block_starts[j]
             b1 = min(b0 + checkpoint, length)
             if j < len(block_starts) - 1:
-                scan = _scan_block(startprob, transmat, carries[j], source.fetch(b0, b1))
+                scan = _scan_block(params, carries[j], source.fetch(b0, b1))
             if scan is None:
-                return _reference_posteriors(startprob, transmat, source)
+                return _reference_posteriors(params, source)
             rows = gamma[b1 - scan.obs.shape[0] : b1]  # row 0 is set last
-            smoothed = _smooth_block(scan, transmat, transmat_T, beta_last, rows)
+            smoothed = _smooth_block(scan, params, beta_last, rows)
             if smoothed is None and scan.prod is not None:
                 # As in the forward sweep: retry the block serially.
-                scan = _serial_block(scan.entering[0], transmat, scan.obs, 0.0)
+                scan = _serial_block(scan.entering[0], params.transmat, scan.obs, 0.0)
                 if scan is not None:
-                    smoothed = _smooth_block(scan, transmat, transmat_T, beta_last, rows)
+                    smoothed = _smooth_block(scan, params, beta_last, rows)
             if smoothed is None or scan is None:
-                return _reference_posteriors(startprob, transmat, source)
+                return _reference_posteriors(params, source)
             xi_part, beta_last = smoothed
             xi_sum += xi_part
         # Row 0: the start message times the backward message before block 0.
@@ -839,7 +833,7 @@ def checkpointed_posteriors(  # repro: hot-path
         row0 = scan.entering[0] * beta_last
         total = row0.sum()
         if not total >= _TINY:
-            return _reference_posteriors(startprob, transmat, source)
+            return _reference_posteriors(params, source)
         gamma[0] = row0 / total
 
     return SequencePosteriors(
@@ -848,8 +842,7 @@ def checkpointed_posteriors(  # repro: hot-path
 
 
 def streaming_log_likelihood(  # repro: hot-path
-    startprob: np.ndarray,
-    transmat: np.ndarray,
+    params: ModelParams,
     source,
     block: int | None = None,
 ) -> float:
@@ -862,11 +855,9 @@ def streaming_log_likelihood(  # repro: hot-path
     sweep restarts in the log domain (:func:`log_forward`, block by block).
     """
     source = as_source(source)
-    startprob = np.asarray(startprob, dtype=np.float64)
-    transmat = np.asarray(transmat, dtype=np.float64)
     block = _check_block("block", block, source.n_states)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        swept = _forward_sweep(startprob, transmat, source, block)
+        swept = _forward_sweep(params, source, block)
     if swept is None:
-        return _reference_log_likelihood(startprob, transmat, source, block)
+        return _reference_log_likelihood(params, source, block)
     return swept[1]

@@ -1,7 +1,7 @@
 """Optimization substrate: simplex projection and projected gradient ascent."""
 
 from repro.optim.simplex import project_to_simplex, project_rows_to_simplex
-from repro.optim.line_search import backtracking_step, AdaptiveStepController
+from repro.optim.line_search import AdaptiveStepController
 from repro.optim.projected_gradient import (
     ProjectedGradientResult,
     maximize_rowwise_simplex,
@@ -10,7 +10,6 @@ from repro.optim.projected_gradient import (
 __all__ = [
     "project_to_simplex",
     "project_rows_to_simplex",
-    "backtracking_step",
     "AdaptiveStepController",
     "ProjectedGradientResult",
     "maximize_rowwise_simplex",

@@ -1,57 +1,13 @@
 """Step-size selection for projected gradient ascent.
 
 The paper uses an "adaptive step" for the M-step gradient ascent
-(Section 3.5.1, Eq. 16).  We provide both a classic backtracking search over
-a projection-aware merit function and a stateful controller that grows the
-step after successful iterations and shrinks it on failures.
+(Section 3.5.1, Eq. 16): a stateful controller that grows the step after
+successful iterations and shrinks it on failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
-
-ObjectiveFn = Callable[[np.ndarray], float]
-ProjectionFn = Callable[[np.ndarray], np.ndarray]
-
-
-def backtracking_step(
-    objective: ObjectiveFn,
-    project: ProjectionFn,
-    current: np.ndarray,
-    gradient: np.ndarray,
-    initial_step: float = 1.0,
-    shrink: float = 0.5,
-    max_halvings: int = 30,
-    min_improvement: float = 0.0,
-) -> tuple[np.ndarray, float, bool]:
-    """Find a step size along ``gradient`` that improves ``objective``.
-
-    The candidate point is always projected back onto the feasible set
-    before evaluation, so the search is consistent with projected ascent.
-
-    Returns
-    -------
-    (new_point, step, improved):
-        The accepted point (or the current point when no step improved the
-        objective), the step size used, and whether an improvement was found.
-    """
-    if initial_step <= 0:
-        raise ValueError(f"initial_step must be positive, got {initial_step}")
-    if not 0 < shrink < 1:
-        raise ValueError(f"shrink must lie in (0, 1), got {shrink}")
-
-    base_value = objective(current)
-    step = initial_step
-    for _ in range(max_halvings):
-        candidate = project(current + step * gradient)
-        value = objective(candidate)
-        if np.isfinite(value) and value > base_value + min_improvement:
-            return candidate, step, True
-        step *= shrink
-    return np.array(current, copy=True), 0.0, False
 
 
 @dataclass

@@ -38,8 +38,6 @@ persistence evolve independently:
 * :mod:`repro.serving.cluster` — :class:`ClusterServer`, N worker
   processes behind one port (``SO_REUSEPORT`` or a built-in balancer with
   health probing and sticky stream routing);
-* :mod:`repro.serving.client` — :class:`ServingClient`, the typed-error
-  stdlib HTTP client with :class:`~repro.core.config.RetryPolicy` support;
 * :mod:`repro.serving.cli` — the ``repro-serve`` console entry point.
 
 **Observability**
@@ -69,7 +67,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.serving": ["faults"],
-        "repro.serving.client": ["ServingClient"],
         "repro.serving.cluster": ["ClusterServer", "reuse_port_supported"],
         "repro.serving.http": ["HTTPServingServer"],
         "repro.serving.observability": [

@@ -13,9 +13,8 @@ Subcommands
     Load a registered model and tag sequences read from a JSON-lines file
     (one JSON array per line).  By default the whole file is compiled once
     (:class:`~repro.hmm.corpus.CompiledCorpus`) and decoded through the
-    batched corpus path; ``--service`` opts into the micro-batching
-    :class:`~repro.serving.TaggingService` instead, and ``--streaming``
-    decodes token by token with the fixed-lag decoder.
+    batched corpus path; ``--streaming`` decodes token by token with the
+    fixed-lag decoder.
 ``route``
     Serve requests against *several* registry models through one routed
     queue: each JSON-lines request names its model (and optionally a
@@ -209,9 +208,6 @@ def _iter_sequence_batches(path: str, family: str, batch_size: int):
 
 
 def _cmd_tag(args: argparse.Namespace) -> int:
-    if args.streaming and args.service:
-        _log("--streaming and --service are mutually exclusive")
-        return 2
     if args.batch_size < 1:
         _log(f"--batch-size must be positive, got {args.batch_size}")
         return 2
@@ -254,16 +250,6 @@ def _cmd_tag(args: argparse.Namespace) -> int:
                     n_tokens += len(seq)
                 n_batches += 1
             mode = f"streaming (lag={lag})"
-        elif args.service:
-            config = ServingConfig(max_batch_size=args.max_batch_size)
-            with TaggingService(hmm, config=config) as service:
-                for batch in batches:
-                    emit(service.tag_many(batch))
-                    n_sequences += len(batch)
-                    n_tokens += sum(len(seq) for seq in batch)
-                    n_batches += 1
-                occupancy = service.stats.snapshot()["mean_batch_size"]
-            mode = f"micro-batched (mean batch {occupancy:.1f})"
         else:
             # Offline default: compile one bounded batch at a time and
             # decode it through the corpus path (sequences above the long
@@ -634,6 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fit, persist and serve diversified-HMM taggers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    serving_defaults = ServingConfig()
 
     fit = sub.add_parser("fit", help="train a model on a bundled synthetic dataset")
     fit.add_argument("--dataset", choices=("toy", "pos", "ocr"), required=True)
@@ -661,16 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     tag.add_argument("--version", type=int, default=None)
     tag.add_argument("--input", required=True, help="JSON-lines file of sequences ('-' = stdin)")
     tag.add_argument("--output", help="write tag lines here instead of stdout")
-    serving_defaults = ServingConfig()
     tag.add_argument("--streaming", action="store_true", help="decode token-by-token")
     tag.add_argument("--lag", type=int, default=None, help="fixed lag for --streaming")
-    tag.add_argument(
-        "--service",
-        action="store_true",
-        help="decode through the micro-batching TaggingService instead of "
-        "the offline compiled-corpus path",
-    )
-    tag.add_argument("--max-batch-size", type=int, default=serving_defaults.max_batch_size)
     tag.add_argument(
         "--batch-size",
         type=int,

@@ -201,12 +201,13 @@ class PooledStream:
         With ``keep_history=True`` the result covers the whole stream; with
         ``keep_history=False`` it covers only the final window (everything
         earlier was already handed out via ``push(...).finalized``).  A
-        stream finishes once: a second call raises.
+        stream finishes once: a second call raises.  A stream with no
+        observations frees its slot and is finished before the
+        :class:`~repro.exceptions.ValidationError` is raised, as in
+        :class:`~repro.serving.StreamingService`.
         """
         if self._finished:
             raise ValidationError("stream already finished")
-        if self._state.last_step is None:
-            raise ValidationError("cannot finish a stream with no observations")
         remaining = self._pool._finish_slot(self._slot)
         self._finished = True
         return self._state.assemble(remaining)

@@ -325,17 +325,35 @@ class TestEngineConfiguration:
         assert model.inference_engine is engine
 
     def test_parameter_cache_detects_mutation(self):
-        startprob, transmat, log_obs_seqs = random_problem(2)
-        engine = InferenceEngine(backend="scaled")
-        before = engine.log_likelihood_batch(startprob, transmat, log_obs_seqs)
-        mutated = transmat.copy()
-        mutated[0] = np.roll(mutated[0], 1)
-        after = engine.log_likelihood_batch(startprob, mutated, log_obs_seqs)
-        reference = InferenceEngine(backend="log").log_likelihood_batch(
-            startprob, mutated, log_obs_seqs
-        )
-        np.testing.assert_allclose(after, reference, atol=ATOL, rtol=1e-10)
-        assert not np.allclose(before, after)
+        # The engine keeps log A and the transposes of A and log A derived
+        # from the last parameters it saw; a changed A, passed as a new
+        # array or edited in place, must reach every kernel.
+        startprob, _, log_obs_seqs = random_problem(2)
+        long_table = np.concatenate(log_obs_seqs)
+
+        def outputs(engine, A):
+            decoded = engine.viterbi_batch(startprob, A, log_obs_seqs)
+            posteriors = engine.posteriors_batch(startprob, A, log_obs_seqs)
+            long_res = engine.viterbi_long(startprob, A, long_table, window=16, overlap=4)
+            return (
+                [path for path, _ in decoded] + [joint for _, joint in decoded]
+                + [r.gamma for r in posteriors] + [r.xi_sum for r in posteriors]
+                + [engine.log_likelihood_batch(startprob, A, log_obs_seqs)]
+                + [long_res.path, long_res.log_joint]
+            )
+
+        for backend in ("scaled", "log"):
+            for in_place in (False, True):
+                transmat = random_problem(2)[1]
+                engine = InferenceEngine(backend=backend)
+                before = outputs(engine, transmat)
+                mutated = transmat if in_place else transmat.copy()
+                mutated[0] = np.roll(mutated[0], 1)
+                after = outputs(engine, mutated)
+                fresh = outputs(InferenceEngine(backend=backend), mutated)
+                for got, want in zip(after, fresh, strict=True):
+                    np.testing.assert_array_equal(got, want)
+                assert not np.allclose(before[-3], after[-3])  # log-likelihoods
 
 
 class TestBucketing:

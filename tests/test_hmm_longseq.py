@@ -31,6 +31,7 @@ from repro.hmm import (
     EmissionSource,
     GaussianEmission,
     LogDomainBackend,
+    ModelParams,
     ScaledBatchedBackend,
     chunked_viterbi,
     checkpointed_posteriors,
@@ -62,7 +63,7 @@ def full_viterbi(backend, pi, transmat, table):
     """Unchunked Viterbi of one whole table: a directly built corpus has no
     long threshold, so the table decodes as one packed sequence."""
     corpus = CompiledCorpus([table])
-    return backend.viterbi_corpus(pi, transmat, corpus, table)[0]
+    return backend.viterbi_corpus(ModelParams(pi, transmat), corpus, table)[0]
 
 
 def random_model(rng, n_states, self_weight=0.0):
@@ -140,7 +141,7 @@ class TestChunkedViterbi:
         for pi, transmat, table in trials:
             full_path, full_lj = full_viterbi(backend, pi, transmat, table)
             res = backend.viterbi_long(
-                pi, transmat, table, window=256, overlap=64, group_size=8
+                ModelParams(pi, transmat), table, window=256, overlap=64, group_size=8
             )
             assert res.path.shape == (table.shape[0],)
             assert (
@@ -165,7 +166,7 @@ class TestChunkedViterbi:
         table = rng.normal(size=(120, 5))
         backend = ScaledBatchedBackend()
         full_path, full_lj = full_viterbi(backend, pi, transmat, table)
-        res = backend.viterbi_long(pi, transmat, table, window=256, overlap=64)
+        res = backend.viterbi_long(ModelParams(pi, transmat), table, window=256, overlap=64)
         assert res.n_windows == 1
         assert np.array_equal(res.path, full_path)
         assert res.log_joint == full_lj  # bit-identical, not just close
@@ -179,7 +180,7 @@ class TestChunkedViterbi:
         )
         for backend in (LogDomainBackend(), ScaledBatchedBackend()):
             res = backend.viterbi_long(
-                pi, transmat, table, window=300, overlap=100, group_size=4
+                ModelParams(pi, transmat), table, window=300, overlap=100, group_size=4
             )
             if res.exact_stitch:
                 assert np.array_equal(res.path, ref_path)
@@ -207,7 +208,7 @@ class TestChunkedViterbi:
         table = rng.normal(0.0, 2.0, size=(3000, 4))
         backend = ScaledBatchedBackend()
         _, full_lj = full_viterbi(backend, pi, transmat, table)
-        res = backend.viterbi_long(pi, transmat, table, window=256, overlap=64)
+        res = backend.viterbi_long(ModelParams(pi, transmat), table, window=256, overlap=64)
         assert res.n_windows > 1
         if res.exact_stitch:
             assert res.log_joint == pytest.approx(full_lj, abs=1e-8)
@@ -218,7 +219,7 @@ class TestChunkedViterbi:
         table = rng.normal(size=(5000, 3))
         backend = ScaledBatchedBackend()
         res = backend.viterbi_long(
-            pi, transmat, table, window=256, overlap=64, group_size=3
+            ModelParams(pi, transmat), table, window=256, overlap=64, group_size=3
         )
         assert res.max_windows_resident <= 3
         assert res.n_windows > 3
@@ -239,7 +240,7 @@ class TestAdversarialStitching:
         table = np.zeros((length, 2))
         backend = ScaledBatchedBackend()
         res = backend.viterbi_long(
-            pi, transmat, table, window=128, overlap=31, group_size=4
+            ModelParams(pi, transmat), table, window=128, overlap=31, group_size=4
         )
         assert res.n_fallback_stitches > 0
         assert not res.exact_stitch
@@ -262,8 +263,8 @@ class TestAdversarialStitching:
         backend = ScaledBatchedBackend()
         full_path, _ = full_viterbi(backend, pi, transmat, table)
 
-        narrow = backend.viterbi_long(pi, transmat, table, window=64, overlap=2)
-        wide = backend.viterbi_long(pi, transmat, table, window=512, overlap=128)
+        narrow = backend.viterbi_long(ModelParams(pi, transmat), table, window=64, overlap=2)
+        wide = backend.viterbi_long(ModelParams(pi, transmat), table, window=512, overlap=128)
         narrow_agree = (narrow.path == full_path).mean()
         wide_agree = (wide.path == full_path).mean()
         assert wide_agree >= narrow_agree
@@ -322,7 +323,7 @@ class TestCheckpointedPosteriors:
                 for zeros in (False, True):
                     pi, transmat = scan_model(rng, n_states, zeros)
                     table = rng.normal(0.0, 2.0, size=(length, n_states))
-                    got = checkpointed_posteriors(pi, transmat, table)
+                    got = checkpointed_posteriors(ModelParams(pi, transmat), table)
                     case = f"K={n_states} T={length} zeros={zeros}"
                     assert_matches_reference(got, pi, transmat, table, case)
 
@@ -338,7 +339,7 @@ class TestCheckpointedPosteriors:
                 )
                 for source in (table, EmissionSource(emissions, seq)):
                     got = checkpointed_posteriors(
-                        pi, transmat, source, checkpoint=checkpoint
+                        ModelParams(pi, transmat), source, checkpoint=checkpoint
                     )
                     case = f"K={n_states} zeros={zeros} {type(source).__name__}"
                     assert_matches_reference(got, pi, transmat, table, case)
@@ -355,7 +356,7 @@ class TestCheckpointedPosteriors:
                 ).log_likelihood
                 for source in (table, EmissionSource(emissions, seq)):
                     for block in (None, 1, 2, 7, 35, 97, 1234, 100_000):
-                        got = streaming_log_likelihood(pi, transmat, source, block=block)
+                        got = streaming_log_likelihood(ModelParams(pi, transmat), source, block=block)
                         case = f"K={n_states} zeros={zeros} block={block}"
                         assert got == pytest.approx(ref, abs=1e-8), case
 
@@ -402,7 +403,7 @@ class TestCheckpointedPosteriors:
             raise AssertionError("detoured to the log-domain reference")
 
         monkeypatch.setattr(longseq, "_reference_log_likelihood", no_log_domain)
-        got = streaming_log_likelihood(pi, transmat, table)
+        got = streaming_log_likelihood(ModelParams(pi, transmat), table)
         assert got == pytest.approx(table[:, -1].sum(), abs=1e-8)
 
     def test_checkpoint_validation(self):
@@ -410,9 +411,9 @@ class TestCheckpointedPosteriors:
         pi, transmat = random_model(rng, 3)
         table = rng.normal(size=(10, 3))
         with pytest.raises(ValidationError):
-            checkpointed_posteriors(pi, transmat, table, checkpoint=0)
+            checkpointed_posteriors(ModelParams(pi, transmat), table, checkpoint=0)
         with pytest.raises(ValidationError):
-            streaming_log_likelihood(pi, transmat, table, block=0)
+            streaming_log_likelihood(ModelParams(pi, transmat), table, block=0)
 
 
 # ------------------------------------------------------------------ #
@@ -604,8 +605,7 @@ class TestLongConfigValidation:
         pi, transmat = random_model(rng, 3)
         with pytest.raises(ValidationError):
             chunked_viterbi(
-                safe_log(pi),
-                safe_log(transmat),
+                ModelParams(pi, transmat),
                 rng.normal(size=(10, 3)),
                 window=8,
                 overlap=2,

@@ -19,6 +19,7 @@ from repro.exceptions import ValidationError
 from repro.hmm import (
     CategoricalEmission,
     InferenceEngine,
+    ModelParams,
     ScaledBatchedBackend,
     viterbi_backpointer_dtype,
 )
@@ -101,8 +102,10 @@ class TestViterbiTieBreaking:
         transmat = rng.dirichlet(np.ones(k), size=k)
         windows = rng.normal(-2.0, 1.5, size=(5, 9, k))
         backend = InferenceEngine(backend="scaled").backend
-        log_pi, log_AT = backend._viterbi_log_params(startprob, transmat, None, None)
-        got = backend._viterbi_bucket(log_pi, log_AT, windows.transpose(1, 0, 2))
+        params = ModelParams(startprob, transmat)
+        got = backend._viterbi_bucket(
+            params.log_startprob, params.log_transmat_T, windows.transpose(1, 0, 2)
+        )
         assert len(got) == windows.shape[0]
         assert got[0][0].base is got[1][0].base is not None
         assert backend.last_backpointer_dtype == np.uint8

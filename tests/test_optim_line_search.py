@@ -1,48 +1,8 @@
 """Unit tests for step-size selection."""
 
-import numpy as np
 import pytest
 
-from repro.optim.line_search import AdaptiveStepController, backtracking_step
-from repro.optim.simplex import project_to_simplex
-
-
-class TestBacktrackingStep:
-    def test_finds_improving_step_on_quadratic(self):
-        objective = lambda x: -float(np.sum((x - 0.5) ** 2))
-        project = lambda x: x
-        x0 = np.array([0.0, 0.0])
-        grad = -2 * (x0 - 0.5)
-        new, step, improved = backtracking_step(objective, project, x0, grad)
-        assert improved
-        assert step > 0
-        assert objective(new) > objective(x0)
-
-    def test_returns_current_point_when_no_improvement_possible(self):
-        objective = lambda x: -float(np.sum(x**2))
-        project = lambda x: x
-        x0 = np.array([0.0, 0.0])  # already optimal
-        grad = np.array([0.0, 0.0])
-        new, step, improved = backtracking_step(objective, project, x0, grad)
-        assert not improved
-        assert step == 0.0
-        assert np.allclose(new, x0)
-
-    def test_respects_projection(self):
-        objective = lambda x: float(x[0])
-        x0 = project_to_simplex(np.array([0.5, 0.5]))
-        grad = np.array([100.0, 0.0])
-        new, _, improved = backtracking_step(objective, project_to_simplex, x0, grad)
-        assert improved
-        assert np.isclose(new.sum(), 1.0)
-
-    def test_invalid_parameters_raise(self):
-        f = lambda x: 0.0
-        p = lambda x: x
-        with pytest.raises(ValueError):
-            backtracking_step(f, p, np.zeros(2), np.zeros(2), initial_step=-1.0)
-        with pytest.raises(ValueError):
-            backtracking_step(f, p, np.zeros(2), np.zeros(2), shrink=1.5)
+from repro.optim.line_search import AdaptiveStepController
 
 
 class TestAdaptiveStepController:

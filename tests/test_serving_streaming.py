@@ -335,8 +335,13 @@ class TestStreamPool:
 
     def test_finish_without_tokens_raises(self):
         pool = StreamPool(_random_hmm(0), lag=None)
+        stream = pool.open()
         with pytest.raises(ValidationError, match="no observations"):
-            pool.open().finish()
+            stream.finish()
+        # The slot is freed and the stream finished, as in the service.
+        assert pool.n_streams == 0
+        with pytest.raises(ValidationError, match="already finished"):
+            stream.finish()
 
     def test_bool_observation_in_an_integer_tick_is_rejected(self):
         """Regression: stacking a tick cast a bool observation to int, so it

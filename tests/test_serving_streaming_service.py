@@ -232,6 +232,7 @@ class TestLifecycle:
             stream = service.open()
             with pytest.raises(ValidationError, match="no observations"):
                 stream.finish()
+            assert service.n_streams == 0
 
     def test_close_flushes_pending_pushes(self, model):
         obs = _observations(model, n_streams=1, length=8)[0]
